@@ -30,6 +30,7 @@
 #include "baselines/spraylist.hpp"
 #include "harness/bench_config.hpp"
 #include "harness/reporter.hpp"
+#include "harness/run_workers.hpp"
 #include "harness/workload_registry.hpp"
 #include "klsm/k_lsm.hpp"
 #include "klsm/numa_klsm.hpp"
@@ -379,6 +380,26 @@ private:
     std::unique_ptr<klsm::adapt::contention_monitor> monitor_;
     std::function<void()> detach_;
 };
+
+/// The harness hooks one record runs with: the pin order, the latency
+/// recorders, the adaptive-k tick when `adaptor` (from with_adaptation)
+/// is live, and the sampler's progress slots when `sampling` is given.
+template <typename Adaptor>
+klsm::run_hooks record_hooks(const core_config &cfg,
+                             const std::vector<std::uint32_t> &cpus,
+                             klsm::stats::latency_recorder_set *recs,
+                             Adaptor adaptor, record_sampling *sampling) {
+    klsm::run_hooks hooks;
+    hooks.pin_cpus = cpus;
+    hooks.latency = recs;
+    if constexpr (is_adaptor_v<Adaptor>) {
+        hooks.on_adapt_tick = [adaptor] { adaptor->tick(); };
+        hooks.adapt_tick_s = cfg.adapt_interval_ms / 1000.0;
+    }
+    if (sampling != nullptr)
+        hooks.progress = sampling->progress();
+    return hooks;
+}
 
 /// Human-readable sweep-point label for counter-track names.
 std::string record_label(const std::string &name, const std::string &pin,

@@ -63,21 +63,13 @@ int run(const bnb_config &w, const core_config &cfg,
                         klsm::workloads::bnb_params params;
                         params.threads = threads;
                         params.seed_frontier_depth = w.seed_depth;
-                        params.pin_cpus = cpus;
                         klsm::stats::latency_recorder_set recs{
                             threads, cfg.latency_sample};
-                        params.latency = &recs;
-                        if constexpr (is_adaptor_v<decltype(adaptor)>) {
-                            params.on_adapt_tick = [adaptor] {
-                                adaptor->tick();
-                            };
-                            params.adapt_tick_s =
-                                cfg.adapt_interval_ms / 1000.0;
-                        }
                         record_sampling sampling{cfg, threads,
                                                  /*duration_hint_s=*/0};
                         sampling.wire(q, adaptor);
-                        params.progress = sampling.progress();
+                        params.hooks =
+                            record_hooks(cfg, cpus, &recs, adaptor, &sampling);
                         KLSM_TRACE_SPAN(rec_span,
                                         klsm::trace::kind::bench_record);
                         rec_span.arg(

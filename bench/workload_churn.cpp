@@ -42,11 +42,11 @@ int run(const churn_config &w, const core_config &cfg,
                         params.seed = cfg.seed;
                         params.sample_interval_s =
                             w.sample_interval_ms / 1000.0;
-                        params.pin_cpus = cpus;
                         record_sampling sampling{cfg, threads,
                                                  /*duration_hint_s=*/0};
                         sampling.wire(q, nullptr);
-                        params.progress = sampling.progress();
+                        params.hooks = record_hooks(cfg, cpus, nullptr,
+                                                    nullptr, &sampling);
                         KLSM_TRACE_SPAN(rec_span,
                                         klsm::trace::kind::bench_record);
                         rec_span.arg(

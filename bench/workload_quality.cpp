@@ -36,21 +36,13 @@ int run(const quality_config &w, const core_config &cfg,
                         params.prefill = cfg.prefill;
                         params.ops_per_thread = w.ops_per_thread;
                         params.seed = cfg.seed;
-                        params.pin_cpus = cpus;
                         klsm::stats::latency_recorder_set recs{
                             threads, cfg.latency_sample};
-                        params.latency = &recs;
-                        if constexpr (is_adaptor_v<decltype(adaptor)>) {
-                            params.on_adapt_tick = [adaptor] {
-                                adaptor->tick();
-                            };
-                            params.adapt_tick_s =
-                                cfg.adapt_interval_ms / 1000.0;
-                        }
                         record_sampling sampling{cfg, threads,
                                                  /*duration_hint_s=*/0};
                         sampling.wire(q, adaptor);
-                        params.progress = sampling.progress();
+                        params.hooks =
+                            record_hooks(cfg, cpus, &recs, adaptor, &sampling);
                         // Quality-only probes: the sampled online rank
                         // accumulator makes rank error observable *while*
                         // the run (and any k controller) moves.

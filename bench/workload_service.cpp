@@ -69,21 +69,13 @@ int run(const service_config &w, const core_config &cfg,
                         params.threads = threads;
                         params.insert_percent = w.insert_percent;
                         params.seed = cfg.seed;
-                        params.pin_cpus = cpus;
                         klsm::stats::latency_recorder_set recs{
                             threads, cfg.latency_sample};
-                        params.latency = &recs;
-                        if constexpr (is_adaptor_v<decltype(adaptor)>) {
-                            params.on_adapt_tick = [adaptor] {
-                                adaptor->tick();
-                            };
-                            params.adapt_tick_s =
-                                cfg.adapt_interval_ms / 1000.0;
-                        }
                         record_sampling sampling{cfg, threads,
                                                  w.duration_s};
                         sampling.wire(q, adaptor);
-                        params.progress = sampling.progress();
+                        params.hooks =
+                            record_hooks(cfg, cpus, &recs, adaptor, &sampling);
                         KLSM_TRACE_SPAN(rec_span,
                                         klsm::trace::kind::bench_record);
                         rec_span.arg(
@@ -105,12 +97,12 @@ int run(const service_config &w, const core_config &cfg,
                             sustainable;
                         if (w.find_sustainable) {
                             auto probe_params = params;
-                            probe_params.latency = nullptr;
+                            probe_params.hooks.latency = nullptr;
                             // Probe tallies restart from zero each run,
                             // which would drag the cumulative `ops`
                             // counter backwards — keep the probes out
                             // of the sampled slots.
-                            probe_params.progress = nullptr;
+                            probe_params.hooks.progress = nullptr;
                             sustainable =
                                 klsm::service::find_sustainable_rate(
                                     [&](double rate) {

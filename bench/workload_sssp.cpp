@@ -44,13 +44,11 @@ int run(const sssp_config &w, const core_config &cfg,
                        auto &q, auto adaptor) {
         klsm::stats::latency_recorder_set recs{threads,
                                                cfg.latency_sample};
-        std::function<void()> adapt_tick;
-        if constexpr (is_adaptor_v<decltype(adaptor)>)
-            adapt_tick = [adaptor] { adaptor->tick(); };
+        const klsm::run_hooks hooks =
+            record_hooks(cfg, cpus, &recs, adaptor, nullptr);
         klsm::wall_timer timer;
-        const auto stats = klsm::parallel_sssp(
-            q, g, 0, threads, state, cpus, &recs, adapt_tick,
-            cfg.adapt_interval_ms / 1000.0);
+        const auto stats =
+            klsm::parallel_sssp(q, g, 0, threads, state, hooks);
         const double seconds = timer.elapsed_s();
         std::uint64_t mismatches = 0;
         for (std::uint32_t u = 0; u < g.num_nodes(); ++u)

@@ -20,19 +20,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
+#include "harness/run_workers.hpp"
 #include "klsm/item.hpp"
 #include "stats/latency_recorder.hpp"
-#include "topo/pinning.hpp"
 #include "util/backoff.hpp"
-#include "util/thread_id.hpp"
-#include "util/ticker.hpp"
 
 namespace klsm {
 
@@ -40,7 +36,7 @@ struct sssp_stats {
     std::uint64_t expansions = 0; ///< non-stale pops (node expansions)
     std::uint64_t stale_pops = 0; ///< lazy-deleted entries skipped
     std::uint64_t settled = 0;    ///< reachable nodes
-    /// Workers whose pin_self failed and therefore ran unpinned.
+    /// Workers whose pinning failed and therefore ran unpinned.
     std::uint64_t pin_failures = 0;
 };
 
@@ -113,40 +109,30 @@ struct sssp_lazy {
 };
 
 /// Run label-correcting SSSP on `pq` with `threads` workers.  The queue
-/// must be empty; keys are distances, values are node ids.  A non-empty
-/// `pin_cpus` (a topo::cpu_order placement) pins worker t to
-/// pin_cpus[t % size()] before it starts popping.  A non-null `latency`
-/// recorder set (sized for `threads`) captures per-op insert and
-/// successful-pop latencies at its sampling stride.  A non-empty
-/// `adapt_tick` (src/adapt/, typically queue_adaptor::tick) is invoked
-/// every `adapt_tick_s` seconds from a dedicated ticker thread while
-/// the workers run.
+/// must be empty; keys are distances, values are node ids.  `hooks`
+/// pins the workers, captures per-op insert and successful-pop
+/// latencies, and runs the adaptive tick; its progress slots are
+/// unused.
 template <typename PQ>
 sssp_stats parallel_sssp(PQ &pq, const graph &g, graph::node_id source,
                          unsigned threads, sssp_state &state,
-                         const std::vector<std::uint32_t> &pin_cpus = {},
-                         stats::latency_recorder_set *latency = nullptr,
-                         const std::function<void()> &adapt_tick = {},
-                         double adapt_tick_s = 0.005) {
-    check_thread_capacity(threads);
+                         const run_hooks &hooks = {}) {
     std::atomic<std::int64_t> &pending = state.pending();
     std::atomic<std::uint64_t> expansions{0};
     std::atomic<std::uint64_t> stale{0};
-    std::atomic<std::uint64_t> pin_failures{0};
 
     state.relax(source, 0);
     // `pending` is raised before any worker starts, so no worker can
     // observe 0 before the seed entry exists.
     pending.store(1, std::memory_order_release);
 
-    auto worker = [&](unsigned t, bool seed) {
-        if (!pin_cpus.empty() &&
-            !topo::pin_self(pin_cpus[t % pin_cpus.size()]))
-            pin_failures.fetch_add(1, std::memory_order_relaxed);
+    const auto worker = [&](unsigned t, start_gate &go) {
+        stats::latency_recorder_set *const latency = hooks.latency;
+        go.wait();
         // The seed entry must be inserted by a *worker*: queues with
         // thread-private buffers (hybrid_k_pq) can only pop entries from
         // the inserting thread until they spill.
-        if (seed)
+        if (t == 0)
             pq.insert(0, source);
         std::uint64_t d;
         graph::node_id u;
@@ -184,32 +170,12 @@ sssp_stats parallel_sssp(PQ &pq, const graph &g, graph::node_id source,
             pending.fetch_sub(1, std::memory_order_acq_rel);
         }
     };
-
-    periodic_ticker ticker{adapt_tick, adapt_tick_s};
-
-    // Inline execution only when unpinned: pinning must happen on a
-    // spawned worker so the caller's affinity mask (inherited by every
-    // thread it spawns later) is never narrowed as a side effect.
-    // Adaptive runs also take the spawned path so the worker/ticker
-    // interleaving matches the multi-threaded shape.
-    if (threads <= 1 && pin_cpus.empty() && !adapt_tick) {
-        worker(0, true);
-    } else if (threads <= 1) {
-        std::thread t(worker, 0u, true);
-        t.join();
-    } else {
-        std::vector<std::thread> ts;
-        ts.reserve(threads);
-        for (unsigned t = 0; t < threads; ++t)
-            ts.emplace_back(worker, t, t == 0);
-        for (auto &t : ts)
-            t.join();
-    }
+    const worker_run run = run_workers(threads, hooks, worker);
 
     sssp_stats out;
     out.expansions = expansions.load();
     out.stale_pops = stale.load();
-    out.pin_failures = pin_failures.load();
+    out.pin_failures = run.pin_failures;
     for (std::uint32_t i = 0; i < state.num_nodes(); ++i)
         out.settled += (state.dist(i) != sssp_unreached);
     return out;

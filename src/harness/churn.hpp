@@ -27,22 +27,22 @@
 // boundary *and* exercises thread-id slot recycling under the pools —
 // the same churn mm/epoch.cpp is hardened against.
 
+#include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <mutex>
-#include <thread>
+#include <utility>
 #include <vector>
 
+#include "harness/run_workers.hpp"
 #include "harness/workload.hpp"
 #include "klsm/pq_concept.hpp"
 #include "mm/alloc_stats.hpp"
 #include "mm/reclaim/timeline.hpp"
-#include "topo/pinning.hpp"
 #include "util/rng.hpp"
 #include "util/thread_id.hpp"
-#include "util/ticker.hpp"
 
 namespace klsm {
 
@@ -69,13 +69,11 @@ struct churn_params {
     std::uint64_t burst_len = 256;
     /// In-phase sampling cadence for the memory timeline.
     double sample_interval_s = 0.05;
-    /// Placement order from topo::cpu_order, as in throughput_params.
-    std::vector<std::uint32_t> pin_cpus;
-    /// Optional mid-run progress slots for the metrics sampler
-    /// (src/trace/).  Slots carry cumulative tallies across phases:
-    /// each respawned worker resumes publishing from its slot's
-    /// pre-phase value.
-    trace::progress_counters *progress = nullptr;
+    /// Pinning and progress slots.  Progress slots carry cumulative
+    /// tallies across phases: each respawned worker resumes publishing
+    /// from its slot's pre-phase value.  The phase ticker samples the
+    /// memory timeline, so `latency` and `on_adapt_tick` are unused.
+    run_hooks hooks;
 };
 
 /// The four-phase program described in the header comment.  Key bases
@@ -166,71 +164,67 @@ churn_result run_churn(PQ &q, const churn_params &params) {
                          program[0].key_base + rng.bounded(params.key_range)),
                      typename PQ::value_type{});
     }
-    std::atomic<std::uint64_t> pin_failures{0};
+    std::uint64_t pin_failures = 0;
     // Spawn the full worker complement for one phase, run `ops` ops per
     // worker, join.  Used for the unrecorded warm-up and every recorded
-    // phase alike.
+    // phase alike; `sample` (if set) ticks every sample_interval_s
+    // while the workers run.
     const auto spawn_phase = [&](const churn_phase_spec &phase,
                                  std::uint64_t ops, std::uint32_t pi,
                                  std::atomic<std::uint64_t> &inserts,
                                  std::atomic<std::uint64_t> &deletes,
-                                 std::atomic<std::uint64_t> &failed) {
-        std::barrier sync{static_cast<std::ptrdiff_t>(params.threads) + 1};
-        std::vector<std::thread> workers;
-        for (unsigned t = 0; t < params.threads; ++t) {
-            workers.emplace_back([&, t] {
-                if (!params.pin_cpus.empty() &&
-                    !topo::pin_self(
-                        params.pin_cpus[t % params.pin_cpus.size()]))
-                    pin_failures.fetch_add(1, std::memory_order_relaxed);
-                xoroshiro128 rng{params.seed + 104729 * (t + 1) +
-                                 7919 * (pi + 1)};
-                const op_mix mix{phase.insert_percent};
-                std::uint64_t my_ins = 0, my_del = 0, my_failed = 0;
-                typename PQ::key_type key;
-                typename PQ::value_type value{};
-                auto h = pq_handle(q);
-                // Progress slots accumulate across respawns: pick up
-                // this slot's tallies from the previous phases.
-                trace::progress_counters *const prog = params.progress;
-                const std::uint64_t base_ops =
-                    prog != nullptr ? prog->ops_of(t) : 0;
-                const std::uint64_t base_failed =
-                    prog != nullptr ? prog->failed_of(t) : 0;
-                sync.arrive_and_wait();
-                for (std::uint64_t op = 0; op < ops; ++op) {
-                    const bool do_insert =
-                        phase.bursty
-                            ? ((op / params.burst_len) % 10) * 10 <
-                                  phase.insert_percent
-                            : mix.is_insert(rng);
-                    if (do_insert) {
-                        h.insert(static_cast<typename PQ::key_type>(
-                                     phase.key_base +
-                                     rng.bounded(params.key_range)),
-                                 value);
-                        ++my_ins;
-                    } else if (h.try_delete_min(key, value)) {
-                        ++my_del;
-                    } else {
-                        ++my_failed;
-                    }
-                    if (prog != nullptr)
-                        prog->publish(
-                            t, base_ops + my_ins + my_del + my_failed,
-                            base_failed + my_failed);
+                                 std::atomic<std::uint64_t> &failed,
+                                 std::function<void()> sample) {
+        run_hooks hooks = params.hooks;
+        hooks.on_adapt_tick = std::move(sample);
+        hooks.adapt_tick_s = params.sample_interval_s;
+        const auto worker = [&](unsigned t, start_gate &go) {
+            xoroshiro128 rng{params.seed + 104729 * (t + 1) +
+                             7919 * (pi + 1)};
+            const op_mix mix{phase.insert_percent};
+            std::uint64_t my_ins = 0, my_del = 0, my_failed = 0;
+            typename PQ::key_type key;
+            typename PQ::value_type value{};
+            auto h = pq_handle(q);
+            // Progress slots accumulate across respawns: pick up
+            // this slot's tallies from the previous phases.
+            trace::progress_counters *const prog = hooks.progress;
+            const std::uint64_t base_ops =
+                prog != nullptr ? prog->ops_of(t) : 0;
+            const std::uint64_t base_failed =
+                prog != nullptr ? prog->failed_of(t) : 0;
+            go.wait();
+            for (std::uint64_t op = 0; op < ops; ++op) {
+                const bool do_insert =
+                    phase.bursty
+                        ? ((op / params.burst_len) % 10) * 10 <
+                              phase.insert_percent
+                        : mix.is_insert(rng);
+                if (do_insert) {
+                    h.insert(static_cast<typename PQ::key_type>(
+                                 phase.key_base +
+                                 rng.bounded(params.key_range)),
+                             value);
+                    ++my_ins;
+                } else if (h.try_delete_min(key, value)) {
+                    ++my_del;
+                } else {
+                    ++my_failed;
                 }
-                // Flush before the phase boundary's quiescent shrink and
-                // boundary sample: every counted op must be visible.
-                h.flush();
-                inserts.fetch_add(my_ins, std::memory_order_relaxed);
-                deletes.fetch_add(my_del, std::memory_order_relaxed);
-                failed.fetch_add(my_failed, std::memory_order_relaxed);
-            });
-        }
-        sync.arrive_and_wait();
-        for (auto &w : workers)
-            w.join();
+                if (prog != nullptr)
+                    prog->publish(t,
+                                  base_ops + my_ins + my_del + my_failed,
+                                  base_failed + my_failed);
+            }
+            // Flush before the phase boundary's quiescent shrink and
+            // boundary sample: every counted op must be visible.
+            h.flush();
+            inserts.fetch_add(my_ins, std::memory_order_relaxed);
+            deletes.fetch_add(my_del, std::memory_order_relaxed);
+            failed.fetch_add(my_failed, std::memory_order_relaxed);
+        };
+        pin_failures +=
+            run_workers(params.threads, hooks, worker).pin_failures;
     };
 
     // Warm-up: an unrecorded mini steady phase with the full worker
@@ -244,7 +238,7 @@ churn_result run_churn(PQ &q, const churn_params &params) {
         spawn_phase(program[0],
                     std::max<std::uint64_t>(params.ops_per_phase / 4, 512),
                     static_cast<std::uint32_t>(program.size()), wi, wd,
-                    wf);
+                    wf, {});
         if constexpr (pool_backed<PQ>)
             q.quiescent_shrink();
     }
@@ -261,15 +255,12 @@ churn_result run_churn(PQ &q, const churn_params &params) {
         mark.start_t_ns = now_ns();
 
         std::atomic<std::uint64_t> inserts{0}, deletes{0}, failed{0};
-        {
-            // In-phase sampling from this (otherwise blocked) thread's
-            // ticker.  Counter reads are owner-relaxed atomics — safe
-            // mid-run; the ticker never walks regions or chunk state.
-            periodic_ticker sampler{take_sample,
-                                    params.sample_interval_s};
-            spawn_phase(phase, params.ops_per_phase, pi, inserts,
-                        deletes, failed);
-        } // ticker joined: main thread is the only sampler again
+        // In-phase sampling from the scaffold's ticker.  Counter reads
+        // are owner-relaxed atomics — safe mid-run; the ticker never
+        // walks regions or chunk state.  Once spawn_phase returns the
+        // ticker is joined and the main thread is the only sampler.
+        spawn_phase(phase, params.ops_per_phase, pi, inserts, deletes,
+                    failed, take_sample);
 
         mark.end_t_ns = now_ns();
         mark.inserts = inserts.load();
@@ -292,7 +283,7 @@ churn_result run_churn(PQ &q, const churn_params &params) {
 
     out.elapsed_s =
         std::chrono::duration<double>(clock::now() - start).count();
-    out.pin_failures = pin_failures.load();
+    out.pin_failures = pin_failures;
     out.timeline.finalize(/*steady_phase=*/0);
     return out;
 }

@@ -14,19 +14,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <iterator>
 #include <mutex>
 #include <set>
-#include <thread>
-#include <vector>
 
+#include "harness/run_workers.hpp"
 #include "klsm/pq_concept.hpp"
 #include "stats/latency_recorder.hpp"
-#include "topo/pinning.hpp"
-#include "trace/progress.hpp"
 #include "util/rng.hpp"
-#include "util/thread_id.hpp"
-#include "util/ticker.hpp"
 
 namespace klsm {
 
@@ -34,7 +29,7 @@ struct quality_result {
     std::uint64_t deletes = 0;
     std::uint64_t rank_sum = 0;
     std::uint64_t rank_max = 0;
-    /// Workers whose pin_self failed and therefore ran unpinned.
+    /// Workers whose pinning failed and therefore ran unpinned.
     std::uint64_t pin_failures = 0;
     /// rank histogram, bucketed by powers of two: bucket i counts ranks
     /// in [2^i - 1, 2^(i+1) - 1).
@@ -111,25 +106,15 @@ struct quality_params {
     unsigned threads = 4;
     std::uint64_t seed = 17;
     std::uint32_t key_range = 1 << 20;
-    /// Placement order from topo::cpu_order: worker t pins itself to
-    /// pin_cpus[t % size()] before operating.  Empty: no pinning.
-    std::vector<std::uint32_t> pin_cpus;
-    /// Optional per-op latency capture (src/stats/).  Only the queue
-    /// operation itself is stamped, not the mirror bookkeeping, so the
-    /// numbers are comparable with the throughput harness — though the
-    /// serializing lock still changes contention, which is this
-    /// harness's documented trade-off.  Must be sized for `threads`.
-    stats::latency_recorder_set *latency = nullptr;
-    /// Optional adaptive-relaxation hook (src/adapt/): a ticker thread
-    /// calls it every `adapt_tick_s` seconds while the workers run.
-    /// The tick runs concurrently with the serialized queue operations
-    /// — deliberately, so adaptive runs exercise set_relaxation racing
+    /// Pinning, latency capture, adaptive tick and progress slots.  Only
+    /// the queue operation itself is latency-stamped, not the mirror
+    /// bookkeeping, so the numbers are comparable with the throughput
+    /// harness — though the serializing lock still changes contention,
+    /// which is this harness's documented trade-off.  The adaptive tick
+    /// runs concurrently with the serialized queue operations —
+    /// deliberately, so adaptive runs exercise set_relaxation racing
     /// real inserts and deletes.
-    std::function<void()> on_adapt_tick;
-    double adapt_tick_s = 0.005;
-    /// Optional mid-run progress slots for the metrics sampler
-    /// (src/trace/).
-    trace::progress_counters *progress = nullptr;
+    run_hooks hooks;
     /// Optional online rank accumulator: every `rank_sample_stride`-th
     /// ranked delete also feeds this (sampled to keep the extra atomics
     /// off most operations).
@@ -141,6 +126,7 @@ struct quality_params {
 /// rank errors against an exact mirror.
 template <typename PQ>
 quality_result measure_rank_error(PQ &q, const quality_params &params) {
+    // Fail before the prefill, not after it.
     check_thread_capacity(params.threads);
     std::multiset<std::uint64_t> mirror;
     std::mutex mtx;
@@ -157,63 +143,54 @@ quality_result measure_rank_error(PQ &q, const quality_params &params) {
         }
     }
 
-    std::atomic<std::uint64_t> pin_failures{0};
-    periodic_ticker ticker{params.on_adapt_tick, params.adapt_tick_s};
-    std::vector<std::thread> ts;
-    for (unsigned t = 0; t < params.threads; ++t) {
-        ts.emplace_back([&, t] {
-            if (!params.pin_cpus.empty() &&
-                !topo::pin_self(
-                    params.pin_cpus[t % params.pin_cpus.size()]))
-                pin_failures.fetch_add(1, std::memory_order_relaxed);
-            xoroshiro128 rng{params.seed + 31 * (t + 1)};
-            typename PQ::key_type key;
-            typename PQ::value_type value{};
-            // The mirror tracks the caller-visible contract: a staged
-            // insert counts as inserted the moment h.insert returns, so
-            // the measured rank error includes any staleness buffering
-            // introduces — exactly what the extended rho must absorb.
-            auto h = pq_handle(q);
-            std::uint64_t my_failed = 0;
-            for (std::uint64_t i = 0; i < params.ops_per_thread; ++i) {
-                if (params.progress != nullptr)
-                    params.progress->publish(t, i, my_failed);
-                if (rng.bounded(2) == 0) {
-                    const auto k = static_cast<typename PQ::key_type>(
-                        rng.bounded(params.key_range));
-                    std::lock_guard<std::mutex> g(mtx);
-                    stats::op_sample sample{params.latency, t,
-                                            stats::op_kind::insert};
-                    h.insert(k, value);
-                    sample.commit();
-                    mirror.insert(k);
-                } else {
-                    std::lock_guard<std::mutex> g(mtx);
-                    stats::op_sample sample{params.latency, t,
-                                            stats::op_kind::delete_min};
-                    if (!h.try_delete_min(key, value)) {
-                        ++my_failed;
-                        continue;
-                    }
-                    sample.commit();
-                    auto it = mirror.find(key);
-                    if (it == mirror.end())
-                        continue; // should not happen; be safe
-                    const auto rank = static_cast<std::uint64_t>(
-                        std::distance(mirror.begin(), it));
-                    result.record(rank);
-                    if (params.online_rank != nullptr &&
-                        params.rank_sample_stride > 0 &&
-                        result.deletes % params.rank_sample_stride == 0)
-                        params.online_rank->record(rank);
-                    mirror.erase(it);
+    const auto worker = [&](unsigned t, start_gate &go) {
+        xoroshiro128 rng{params.seed + 31 * (t + 1)};
+        typename PQ::key_type key;
+        typename PQ::value_type value{};
+        // The mirror tracks the caller-visible contract: a staged
+        // insert counts as inserted the moment h.insert returns, so
+        // the measured rank error includes any staleness buffering
+        // introduces — exactly what the extended rho must absorb.
+        auto h = pq_handle(q);
+        std::uint64_t my_failed = 0;
+        go.wait();
+        for (std::uint64_t i = 0; i < params.ops_per_thread; ++i) {
+            if (params.hooks.progress != nullptr)
+                params.hooks.progress->publish(t, i, my_failed);
+            if (rng.bounded(2) == 0) {
+                const auto k = static_cast<typename PQ::key_type>(
+                    rng.bounded(params.key_range));
+                std::lock_guard<std::mutex> g(mtx);
+                stats::op_sample sample{params.hooks.latency, t,
+                                        stats::op_kind::insert};
+                h.insert(k, value);
+                sample.commit();
+                mirror.insert(k);
+            } else {
+                std::lock_guard<std::mutex> g(mtx);
+                stats::op_sample sample{params.hooks.latency, t,
+                                        stats::op_kind::delete_min};
+                if (!h.try_delete_min(key, value)) {
+                    ++my_failed;
+                    continue;
                 }
+                sample.commit();
+                auto it = mirror.find(key);
+                if (it == mirror.end())
+                    continue; // should not happen; be safe
+                const auto rank = static_cast<std::uint64_t>(
+                    std::distance(mirror.begin(), it));
+                result.record(rank);
+                if (params.online_rank != nullptr &&
+                    params.rank_sample_stride > 0 &&
+                    result.deletes % params.rank_sample_stride == 0)
+                    params.online_rank->record(rank);
+                mirror.erase(it);
             }
-        });
-    }
-    for (auto &t : ts)
-        t.join();
-    result.pin_failures = pin_failures.load();
+        }
+    };
+    result.pin_failures =
+        run_workers(params.threads, params.hooks, worker).pin_failures;
     return result;
 }
 

@@ -5,19 +5,14 @@
 // prefilled with a given number of keys before timing starts.
 
 #include <cstdint>
-#include <functional>
 #include <thread>
 #include <vector>
 
+#include "harness/run_workers.hpp"
 #include "klsm/pq_concept.hpp"
-#include "trace/progress.hpp"
 #include "util/rng.hpp"
 
 namespace klsm {
-
-namespace stats {
-class latency_recorder_set;
-}
 
 /// Insert-vs-delete decision for mixed workloads — shared by the
 /// closed-loop throughput harness and the open-loop service harness
@@ -40,23 +35,8 @@ struct throughput_params {
     unsigned insert_percent = 50;
     std::uint64_t seed = 1;
     std::uint32_t key_range_bits = 32;
-    /// Placement order from topo::cpu_order: worker t pins itself to
-    /// pin_cpus[t % size()] before the start barrier.  Empty: no pinning.
-    std::vector<std::uint32_t> pin_cpus;
-    /// Optional per-op latency capture (src/stats/): worker t records
-    /// into latency->slot(t).  Null or stride-0: no capture, and the
-    /// hot loop pays only a branch.  Must be sized for `threads`.
-    stats::latency_recorder_set *latency = nullptr;
-    /// Optional adaptive-relaxation hook (src/adapt/): when set, a
-    /// dedicated ticker thread calls it every `adapt_tick_s` seconds
-    /// for the duration of the run (typically queue_adaptor::tick).
-    std::function<void()> on_adapt_tick;
-    double adapt_tick_s = 0.005;
-    /// Optional mid-run progress slots for the metrics sampler
-    /// (src/trace/): worker t relaxed-stores its cumulative op and
-    /// failed-delete tallies into slot t every iteration.  Null: the
-    /// hot loop pays only a branch.
-    trace::progress_counters *progress = nullptr;
+    /// Pinning, latency capture, adaptive tick and progress slots.
+    run_hooks hooks;
 };
 
 /// Prefill `q` with uniformly random keys using several helper threads

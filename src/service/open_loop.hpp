@@ -20,25 +20,20 @@
 // is still owed — and it is what lets `achieved_rate` fall below the
 // offered rate under overload instead of silently shedding load.
 
-#include <atomic>
-#include <barrier>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "harness/run_workers.hpp"
 #include "harness/workload.hpp"
 #include "klsm/pq_concept.hpp"
 #include "service/arrival_schedule.hpp"
 #include "stats/latency_recorder.hpp"
-#include "topo/pinning.hpp"
-#include "trace/progress.hpp"
 #include "trace/tracer.hpp"
 #include "util/rng.hpp"
-#include "util/thread_id.hpp"
-#include "util/ticker.hpp"
 #include "util/timer.hpp"
 
 namespace klsm {
@@ -50,25 +45,16 @@ struct service_params {
     unsigned insert_percent = 50;
     std::uint64_t seed = 1;
     std::uint32_t key_range_bits = 32;
-    /// Placement order from topo::cpu_order; empty = no pinning.
-    std::vector<std::uint32_t> pin_cpus;
     /// Lateness at or below this is "on time" (scheduling jitter, the
     /// spin-wait's exit granularity); only ops later than this count
     /// toward late_ops / lateness stats.
     std::uint64_t late_grace_ns = 1000;
-    /// Optional start-to-completion capture at the caller's stride —
-    /// the generic `latency` JSON object, same as every other harness.
-    /// The intended/completion recorders below are separate and always
-    /// stride 1.
-    stats::latency_recorder_set *latency = nullptr;
-    /// Optional adaptive-relaxation hook (src/adapt/), same contract as
-    /// the other harnesses.
-    std::function<void()> on_adapt_tick;
-    double adapt_tick_s = 0.005;
-    /// Optional mid-run progress slots for the metrics sampler
-    /// (src/trace/); each worker publishes its cumulative issued ops
-    /// and failed (empty) delete-mins into its own slot.
-    trace::progress_counters *progress = nullptr;
+    /// Pinning, adaptive tick, progress slots (cumulative issued ops
+    /// and failed delete-mins) and optional start-to-completion capture
+    /// at the caller's stride — the generic `latency` JSON object, same
+    /// as every other harness.  The intended/completion recorders in
+    /// service_result are separate and always stride 1.
+    run_hooks hooks;
 };
 
 struct service_result {
@@ -121,7 +107,6 @@ service_result run_service(PQ &q, const service_params &params,
         throw std::invalid_argument(
             "service schedule has " + std::to_string(schedule.size()) +
             " streams for " + std::to_string(params.threads) + " threads");
-    check_thread_capacity(params.threads);
 
     stats::latency_recorder_set intended{params.threads, 1};
     stats::latency_recorder_set completion{params.threads, 1};
@@ -133,133 +118,110 @@ service_result run_service(PQ &q, const service_params &params,
         std::uint64_t end_ns = 0;
     };
     std::vector<worker_tally> tallies(params.threads);
-    std::atomic<std::uint64_t> pin_failures{0};
-    // The run's epoch: stamped by the barrier's completion step, which
-    // runs after every thread has arrived and before any is released —
-    // so all workers share one t0 with no straggler skew.
-    std::atomic<std::uint64_t> t0{0};
-    std::barrier sync{
-        static_cast<std::ptrdiff_t>(params.threads) + 1,
-        [&t0]() noexcept {
-            t0.store(now_ns(), std::memory_order_release);
-        }};
-
-    std::vector<std::thread> ts;
-    for (unsigned t = 0; t < params.threads; ++t) {
-        ts.emplace_back([&, t] {
-            if (!params.pin_cpus.empty() &&
-                !topo::pin_self(
-                    params.pin_cpus[t % params.pin_cpus.size()]))
-                pin_failures.fetch_add(1, std::memory_order_relaxed);
-            xoroshiro128 rng{params.seed + 104729 * (t + 1)};
-            const op_mix mix{params.insert_percent};
-            const std::uint64_t mask =
-                params.key_range_bits >= 64
-                    ? ~std::uint64_t{0}
-                    : ((std::uint64_t{1} << params.key_range_bits) - 1);
-            const auto &sched = schedule[t];
-            typename PQ::key_type key;
-            typename PQ::value_type value{};
-            auto h = pq_handle(q);
-            worker_tally tally;
-            sync.arrive_and_wait();
-            const std::uint64_t start =
-                t0.load(std::memory_order_acquire);
-            std::size_t due = 0; // arrivals known overdue, for backlog
-            for (std::size_t i = 0; i < sched.size(); ++i) {
-                const std::uint64_t intended_ns = start + sched[i];
-                std::uint64_t now = now_ns();
-                if (now < intended_ns) {
-                    // Ahead of schedule = quiesced: publish buffered
-                    // effects before waiting, so consumers on other
-                    // streams see every op this stream has completed and
-                    // the SLO verdict is never computed against hidden
-                    // work.  Re-read the clock — the flush may have
-                    // consumed the slack.
-                    h.flush();
-                    now = now_ns();
-                }
-                if (now < intended_ns) {
-                    // Sleep off all but the tail of a long wait, yield
-                    // through the medium range, spin the last couple of
-                    // microseconds for precision.
-                    do {
-                        const std::uint64_t ahead = intended_ns - now;
-                        if (ahead > 200000)
-                            std::this_thread::sleep_for(
-                                std::chrono::nanoseconds(ahead - 100000));
-                        else if (ahead > 2000)
-                            std::this_thread::yield();
-                        now = now_ns();
-                    } while (now < intended_ns);
-                } else if (now - intended_ns > params.late_grace_ns) {
-                    // Behind: issue immediately (catch-up), book the
-                    // lateness and how deep the overdue backlog is.
-                    const std::uint64_t lateness = now - intended_ns;
-                    KLSM_TRACE_EVENT(trace::kind::service_late, t,
-                                     lateness);
-                    ++tally.late;
-                    tally.late_sum += lateness;
-                    if (lateness > tally.max_late)
-                        tally.max_late = lateness;
-                    if (due <= i)
-                        due = i + 1;
-                    while (due < sched.size() &&
-                           start + sched[due] <= now)
-                        ++due;
-                    if (due - i > tally.backlog_max)
-                        tally.backlog_max = due - i;
-                }
-                const bool ins = mix.is_insert(rng);
-                const auto kind = ins ? stats::op_kind::insert
-                                      : stats::op_kind::delete_min;
-                stats::op_sample sample{params.latency, t, kind};
-                const std::uint64_t op_start = now_ns();
-                bool served = true;
-                if (ins) {
-                    h.insert(
-                        static_cast<typename PQ::key_type>(rng() & mask),
-                        value);
-                    ++tally.inserts;
-                } else if (h.try_delete_min(key, value)) {
-                    ++tally.deletes;
-                } else {
-                    served = false;
-                    ++tally.failed;
-                }
-                if (served) {
-                    const std::uint64_t end = now_ns();
-                    sample.commit();
-                    completion.record(t, kind, end - op_start);
-                    // end >= op_start >= intended_ns, so each intended
-                    // sample dominates its completion twin pointwise —
-                    // the percentile ordering the schema checker
-                    // enforces.
-                    intended.record(t, kind, end - intended_ns);
-                }
-                if (params.progress != nullptr)
-                    params.progress->publish(
-                        t, tally.inserts + tally.deletes + tally.failed,
-                        tally.failed);
+    const auto worker = [&](unsigned t, start_gate &go) {
+        xoroshiro128 rng{params.seed + 104729 * (t + 1)};
+        const op_mix mix{params.insert_percent};
+        const std::uint64_t mask =
+            params.key_range_bits >= 64
+                ? ~std::uint64_t{0}
+                : ((std::uint64_t{1} << params.key_range_bits) - 1);
+        const auto &sched = schedule[t];
+        typename PQ::key_type key;
+        typename PQ::value_type value{};
+        auto h = pq_handle(q);
+        worker_tally tally;
+        // The run's epoch: one release stamp shared by every worker,
+        // with no straggler skew.
+        const std::uint64_t start = go.wait();
+        std::size_t due = 0; // arrivals known overdue, for backlog
+        for (std::size_t i = 0; i < sched.size(); ++i) {
+            const std::uint64_t intended_ns = start + sched[i];
+            std::uint64_t now = now_ns();
+            if (now < intended_ns) {
+                // Ahead of schedule = quiesced: publish buffered
+                // effects before waiting, so consumers on other
+                // streams see every op this stream has completed and
+                // the SLO verdict is never computed against hidden
+                // work.  Re-read the clock — the flush may have
+                // consumed the slack.
+                h.flush();
+                now = now_ns();
             }
-            h.flush(); // the run's last ops count toward its window
-            tally.end_ns = now_ns();
-            tallies[t] = tally;
-        });
-    }
-
-    // The adaptive-k control loop, when configured (same contract as
-    // the closed-loop harnesses).
-    periodic_ticker ticker{params.on_adapt_tick, params.adapt_tick_s};
-
-    sync.arrive_and_wait(); // stamps t0 and releases the workers
-    for (auto &th : ts)
-        th.join();
+            if (now < intended_ns) {
+                // Sleep off all but the tail of a long wait, yield
+                // through the medium range, spin the last couple of
+                // microseconds for precision.
+                do {
+                    const std::uint64_t ahead = intended_ns - now;
+                    if (ahead > 200000)
+                        std::this_thread::sleep_for(
+                            std::chrono::nanoseconds(ahead - 100000));
+                    else if (ahead > 2000)
+                        std::this_thread::yield();
+                    now = now_ns();
+                } while (now < intended_ns);
+            } else if (now - intended_ns > params.late_grace_ns) {
+                // Behind: issue immediately (catch-up), book the
+                // lateness and how deep the overdue backlog is.
+                const std::uint64_t lateness = now - intended_ns;
+                KLSM_TRACE_EVENT(trace::kind::service_late, t,
+                                 lateness);
+                ++tally.late;
+                tally.late_sum += lateness;
+                if (lateness > tally.max_late)
+                    tally.max_late = lateness;
+                if (due <= i)
+                    due = i + 1;
+                while (due < sched.size() &&
+                       start + sched[due] <= now)
+                    ++due;
+                if (due - i > tally.backlog_max)
+                    tally.backlog_max = due - i;
+            }
+            const bool ins = mix.is_insert(rng);
+            const auto kind = ins ? stats::op_kind::insert
+                                  : stats::op_kind::delete_min;
+            stats::op_sample sample{params.hooks.latency, t, kind};
+            const std::uint64_t op_start = now_ns();
+            bool served = true;
+            if (ins) {
+                h.insert(
+                    static_cast<typename PQ::key_type>(rng() & mask),
+                    value);
+                ++tally.inserts;
+            } else if (h.try_delete_min(key, value)) {
+                ++tally.deletes;
+            } else {
+                served = false;
+                ++tally.failed;
+            }
+            if (served) {
+                const std::uint64_t end = now_ns();
+                sample.commit();
+                completion.record(t, kind, end - op_start);
+                // end >= op_start >= intended_ns, so each intended
+                // sample dominates its completion twin pointwise —
+                // the percentile ordering the schema checker
+                // enforces.
+                intended.record(t, kind, end - intended_ns);
+            }
+            if (params.hooks.progress != nullptr)
+                params.hooks.progress->publish(
+                    t, tally.inserts + tally.deletes + tally.failed,
+                    tally.failed);
+        }
+        h.flush(); // the run's last ops count toward its window
+        tally.end_ns = now_ns();
+        tallies[t] = tally;
+    };
+    // The adaptive-k control loop, when configured, ticks from the
+    // scaffold's ticker (same contract as the closed-loop harnesses).
+    const worker_run run = run_workers(params.threads, params.hooks, worker);
 
     service_result out;
     out.scheduled_ops = scheduled_ops(schedule);
-    out.pin_failures = pin_failures.load();
-    const std::uint64_t start = t0.load(std::memory_order_acquire);
+    out.pin_failures = run.pin_failures;
+    const std::uint64_t start = run.start_ns;
     std::uint64_t last_end = start;
     for (const auto &tally : tallies) {
         out.inserts += tally.inserts;

@@ -33,22 +33,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
+#include "harness/run_workers.hpp"
 #include "klsm/pq_concept.hpp"
 #include "stats/latency_recorder.hpp"
-#include "topo/pinning.hpp"
-#include "trace/progress.hpp"
 #include "trace/tracer.hpp"
 #include "util/rng.hpp"
-#include "util/thread_id.hpp"
-#include "util/ticker.hpp"
 #include "util/timer.hpp"
 
 namespace klsm::workloads {
@@ -179,11 +173,7 @@ struct bnb_params {
     /// relaxation can matter at all; a frontier wider than k forces
     /// the search through the shared, relaxed ordering.  0 = root only.
     std::uint32_t seed_frontier_depth = 0;
-    std::vector<std::uint32_t> pin_cpus;
-    stats::latency_recorder_set *latency = nullptr;
-    std::function<void()> on_adapt_tick;
-    double adapt_tick_s = 0.005;
-    trace::progress_counters *progress = nullptr;
+    run_hooks hooks;
 };
 
 struct bnb_result {
@@ -217,18 +207,15 @@ struct bnb_result {
 template <typename PQ>
 bnb_result run_bnb(PQ &q, const knapsack_instance &ks,
                    const bnb_params &params) {
-    check_thread_capacity(params.threads);
     constexpr std::uint64_t key_flip = ~std::uint64_t{0};
 
     std::atomic<std::uint64_t> incumbent{0};
     std::atomic<std::int64_t> outstanding{0};
     std::atomic<std::uint64_t> expanded{0}, wasted{0}, pruned{0};
-    std::atomic<std::uint64_t> pushed{0}, failed{0}, pin_failures{0};
+    std::atomic<std::uint64_t> pushed{0}, failed{0};
     std::atomic<std::uint64_t> t_opt_ns{~std::uint64_t{0}};
     if (ks.optimum == 0) // nothing fits: the empty incumbent is optimal
         t_opt_ns.store(0);
-    std::barrier sync{static_cast<std::ptrdiff_t>(params.threads) + 1};
-    wall_timer timer; // reset by the main thread at the start barrier
 
     // Seed the queue before the workers start: breadth-first expansion
     // to seed_frontier_depth (no pruning — the incumbent is still 0),
@@ -268,146 +255,134 @@ bnb_result run_bnb(PQ &q, const knapsack_instance &ks,
         pushed.store(frontier.size());
     }
 
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < params.threads; ++t) {
-        pool.emplace_back([&, t] {
-            if (!params.pin_cpus.empty() &&
-                !topo::pin_self(
-                    params.pin_cpus[t % params.pin_cpus.size()]))
-                pin_failures.fetch_add(1, std::memory_order_relaxed);
-            auto h = pq_handle(q);
-            trace::progress_counters *const prog = params.progress;
-            std::uint64_t my_expanded = 0, my_wasted = 0, my_pruned = 0;
-            std::uint64_t my_pushed = 0, my_failed = 0;
+    const auto worker = [&](unsigned t, start_gate &go) {
+        auto h = pq_handle(q);
+        trace::progress_counters *const prog = params.hooks.progress;
+        std::uint64_t my_expanded = 0, my_wasted = 0, my_pruned = 0;
+        std::uint64_t my_pushed = 0, my_failed = 0;
 
-            // Bound, prune-at-generation, account, insert.  The
-            // outstanding increment happens *before* the insert so a
-            // concurrent failed-pop cannot observe an empty queue and
-            // a zero count while this subproblem is in flight.
-            auto push = [&](const bnb_subproblem &sp) {
-                const std::uint64_t bound = knapsack_upper_bound(ks, sp);
-                if (bound <= incumbent.load(std::memory_order_relaxed))
-                    return;
-                outstanding.fetch_add(1, std::memory_order_acq_rel);
-                stats::op_sample sample{params.latency, t,
-                                        stats::op_kind::insert};
-                h.insert(key_flip - bound, pack_subproblem(sp));
-                sample.commit();
-                ++my_pushed;
-            };
+        // Bound, prune-at-generation, account, insert.  The
+        // outstanding increment happens *before* the insert so a
+        // concurrent failed-pop cannot observe an empty queue and
+        // a zero count while this subproblem is in flight.
+        auto push = [&](const bnb_subproblem &sp) {
+            const std::uint64_t bound = knapsack_upper_bound(ks, sp);
+            if (bound <= incumbent.load(std::memory_order_relaxed))
+                return;
+            outstanding.fetch_add(1, std::memory_order_acq_rel);
+            stats::op_sample sample{params.hooks.latency, t,
+                                    stats::op_kind::insert};
+            h.insert(key_flip - bound, pack_subproblem(sp));
+            sample.commit();
+            ++my_pushed;
+        };
 
-            sync.arrive_and_wait();
+        const std::uint64_t start = go.wait();
 
-            std::uint64_t key, packed;
-            for (;;) {
-                bool ok;
-                {
-                    stats::op_sample sample{params.latency, t,
-                                            stats::op_kind::delete_min};
-                    ok = h.try_delete_min(key, packed);
-                    if (ok)
-                        sample.commit();
-                }
-                if (!ok) {
-                    ++my_failed;
-                    // Publish our own buffered inserts: otherwise this
-                    // worker could spin on an "empty" queue whose only
-                    // live nodes sit in its private buffer.
-                    h.flush();
-                    if (outstanding.load(std::memory_order_acquire) == 0)
-                        break;
-                    if (prog != nullptr)
-                        prog->publish(t,
-                                      my_expanded + my_pruned +
-                                          my_pushed + my_failed,
-                                      my_failed);
-                    continue;
-                }
-                const bnb_subproblem sp = unpack_subproblem(packed);
-                const std::uint64_t bound = key_flip - key;
-                // Incumbent updates happen at complete assignments only
-                // (textbook best-first B&B).  That makes expanded-node
-                // count a *relaxation-sensitive* scalar: while a dive
-                // towards the first good leaf is in flight, a relaxed
-                // pop order keeps expanding loose frontier nodes an
-                // exact queue would have held back until the incumbent
-                // could prune them.
-                auto complete = [&](std::uint64_t value) {
-                    std::uint64_t inc =
-                        incumbent.load(std::memory_order_relaxed);
-                    while (value > inc &&
-                           !incumbent.compare_exchange_weak(inc, value))
-                        ;
-                    if (value >= ks.optimum) {
-                        // First arrival at the optimum wins the
-                        // time-to-optimum stamp.
-                        std::uint64_t unset = ~std::uint64_t{0};
-                        t_opt_ns.compare_exchange_strong(
-                            unset, timer.elapsed_ns());
-                    }
-                };
-                if (bound > incumbent.load(std::memory_order_relaxed) &&
-                    sp.depth < ks.items()) {
-                    ++my_expanded;
-                    if (bound <= ks.optimum)
-                        ++my_wasted;
-                    KLSM_TRACE_EVENT(trace::kind::bnb_expand, sp.depth,
-                                     bound);
-                    const std::uint32_t it = ks.order[sp.depth];
-                    const bool leaf = sp.depth + 1 == ks.items();
-                    // Branch 1: take the item (if it fits).
-                    if (ks.weight[it] <= sp.remaining) {
-                        bnb_subproblem take = sp;
-                        ++take.depth;
-                        take.remaining -= ks.weight[it];
-                        take.value += ks.value[it];
-                        if (leaf)
-                            complete(take.value);
-                        else
-                            push(take);
-                    }
-                    // Branch 2: skip the item.
-                    if (leaf) {
-                        complete(sp.value);
-                    } else {
-                        bnb_subproblem skip = sp;
-                        ++skip.depth;
-                        push(skip);
-                    }
-                } else {
-                    ++my_pruned;
-                }
-                outstanding.fetch_sub(1, std::memory_order_acq_rel);
+        std::uint64_t key, packed;
+        for (;;) {
+            bool ok;
+            {
+                stats::op_sample sample{params.hooks.latency, t,
+                                        stats::op_kind::delete_min};
+                ok = h.try_delete_min(key, packed);
+                if (ok)
+                    sample.commit();
+            }
+            if (!ok) {
+                ++my_failed;
+                // Publish our own buffered inserts: otherwise this
+                // worker could spin on an "empty" queue whose only
+                // live nodes sit in its private buffer.
+                h.flush();
+                if (outstanding.load(std::memory_order_acquire) == 0)
+                    break;
                 if (prog != nullptr)
                     prog->publish(t,
-                                  my_expanded + my_pruned + my_pushed +
-                                      my_failed,
+                                  my_expanded + my_pruned +
+                                      my_pushed + my_failed,
                                   my_failed);
+                continue;
             }
-            h.flush();
-            expanded.fetch_add(my_expanded);
-            wasted.fetch_add(my_wasted);
-            pruned.fetch_add(my_pruned);
-            pushed.fetch_add(my_pushed);
-            failed.fetch_add(my_failed);
-        });
-    }
-
-    periodic_ticker ticker{params.on_adapt_tick, params.adapt_tick_s};
-    timer.reset();
-    sync.arrive_and_wait(); // release the workers
-    for (auto &th : pool)
-        th.join();
+            const bnb_subproblem sp = unpack_subproblem(packed);
+            const std::uint64_t bound = key_flip - key;
+            // Incumbent updates happen at complete assignments only
+            // (textbook best-first B&B).  That makes expanded-node
+            // count a *relaxation-sensitive* scalar: while a dive
+            // towards the first good leaf is in flight, a relaxed
+            // pop order keeps expanding loose frontier nodes an
+            // exact queue would have held back until the incumbent
+            // could prune them.
+            auto complete = [&](std::uint64_t value) {
+                std::uint64_t inc =
+                    incumbent.load(std::memory_order_relaxed);
+                while (value > inc &&
+                       !incumbent.compare_exchange_weak(inc, value))
+                    ;
+                if (value >= ks.optimum) {
+                    // First arrival at the optimum wins the
+                    // time-to-optimum stamp.
+                    std::uint64_t unset = ~std::uint64_t{0};
+                    t_opt_ns.compare_exchange_strong(unset,
+                                                     now_ns() - start);
+                }
+            };
+            if (bound > incumbent.load(std::memory_order_relaxed) &&
+                sp.depth < ks.items()) {
+                ++my_expanded;
+                if (bound <= ks.optimum)
+                    ++my_wasted;
+                KLSM_TRACE_EVENT(trace::kind::bnb_expand, sp.depth,
+                                 bound);
+                const std::uint32_t it = ks.order[sp.depth];
+                const bool leaf = sp.depth + 1 == ks.items();
+                // Branch 1: take the item (if it fits).
+                if (ks.weight[it] <= sp.remaining) {
+                    bnb_subproblem take = sp;
+                    ++take.depth;
+                    take.remaining -= ks.weight[it];
+                    take.value += ks.value[it];
+                    if (leaf)
+                        complete(take.value);
+                    else
+                        push(take);
+                }
+                // Branch 2: skip the item.
+                if (leaf) {
+                    complete(sp.value);
+                } else {
+                    bnb_subproblem skip = sp;
+                    ++skip.depth;
+                    push(skip);
+                }
+            } else {
+                ++my_pruned;
+            }
+            outstanding.fetch_sub(1, std::memory_order_acq_rel);
+            if (prog != nullptr)
+                prog->publish(t,
+                              my_expanded + my_pruned + my_pushed +
+                                  my_failed,
+                              my_failed);
+        }
+        h.flush();
+        expanded.fetch_add(my_expanded);
+        wasted.fetch_add(my_wasted);
+        pruned.fetch_add(my_pruned);
+        pushed.fetch_add(my_pushed);
+        failed.fetch_add(my_failed);
+    };
+    const worker_run run = run_workers(params.threads, params.hooks, worker);
 
     bnb_result out;
-    out.elapsed_s = timer.elapsed_s();
+    out.elapsed_s = run.elapsed_s;
     out.best = incumbent.load();
     out.expanded = expanded.load();
     out.wasted_expansions = wasted.load();
     out.pruned_pops = pruned.load();
     out.pushed = pushed.load();
     out.failed_pops = failed.load();
-    out.pin_failures = pin_failures.load();
+    out.pin_failures = run.pin_failures;
     const std::uint64_t opt_ns = t_opt_ns.load();
     if (opt_ns != ~std::uint64_t{0})
         out.time_to_optimum_s = static_cast<double>(opt_ns) * 1e-9;

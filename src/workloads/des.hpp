@@ -23,23 +23,16 @@
 // queue's rank error bounds how far behind the global frontier a
 // popped event can be.
 
+#include <algorithm>
 #include <atomic>
-#include <barrier>
-#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <thread>
 #include <vector>
 
+#include "harness/run_workers.hpp"
 #include "klsm/pq_concept.hpp"
 #include "stats/latency_recorder.hpp"
-#include "topo/pinning.hpp"
-#include "trace/progress.hpp"
 #include "trace/tracer.hpp"
 #include "util/rng.hpp"
-#include "util/thread_id.hpp"
-#include "util/ticker.hpp"
-#include "util/timer.hpp"
 
 namespace klsm::workloads {
 
@@ -60,11 +53,7 @@ struct des_params {
 
     unsigned threads = 4;
     std::uint64_t seed = 1;
-    std::vector<std::uint32_t> pin_cpus;
-    stats::latency_recorder_set *latency = nullptr;
-    std::function<void()> on_adapt_tick;
-    double adapt_tick_s = 0.005;
-    trace::progress_counters *progress = nullptr;
+    run_hooks hooks;
 };
 
 struct des_result {
@@ -96,7 +85,6 @@ struct des_result {
 /// uint64 values = LP ids) until `target_events` commits.
 template <typename PQ>
 des_result run_des(PQ &q, const des_params &params) {
-    check_thread_capacity(params.threads);
     std::vector<std::atomic<std::uint64_t>> clocks(params.lps);
     for (auto &c : clocks)
         c.store(0, std::memory_order_relaxed);
@@ -114,115 +102,101 @@ des_result run_des(PQ &q, const des_params &params) {
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> committed{0}, scheduled{0}, violations{0};
     std::atomic<std::uint64_t> max_lag{0}, virtual_time{0};
-    std::atomic<std::uint64_t> failed{0}, pin_failures{0};
-    std::barrier sync{static_cast<std::ptrdiff_t>(params.threads) + 1};
-    wall_timer timer;
+    std::atomic<std::uint64_t> failed{0};
 
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < params.threads; ++t) {
-        pool.emplace_back([&, t] {
-            if (!params.pin_cpus.empty() &&
-                !topo::pin_self(
-                    params.pin_cpus[t % params.pin_cpus.size()]))
-                pin_failures.fetch_add(1, std::memory_order_relaxed);
-            xoroshiro128 rng{params.seed + 104729 * (t + 1)};
-            auto h = pq_handle(q);
-            trace::progress_counters *const prog = params.progress;
-            std::uint64_t my_committed = 0, my_scheduled = 0;
-            std::uint64_t my_violations = 0, my_failed = 0;
-            std::uint64_t my_max_lag = 0, my_vt = 0;
-            sync.arrive_and_wait();
-            std::uint64_t ts, lp;
-            while (!stop.load(std::memory_order_relaxed)) {
-                bool ok;
-                {
-                    stats::op_sample sample{params.latency, t,
-                                            stats::op_kind::delete_min};
-                    ok = h.try_delete_min(ts, lp);
-                    if (ok)
-                        sample.commit();
-                }
-                if (!ok) {
-                    ++my_failed;
-                    // The population is constant, so a failed pop means
-                    // events are sitting in handle buffers; publish ours
-                    // so the simulation cannot wedge.
-                    h.flush();
-                    continue;
-                }
-                // Commit: check causality against the LP's clock, then
-                // advance it to this event's timestamp.
-                auto &clock = clocks[lp % params.lps];
-                std::uint64_t seen = clock.load(std::memory_order_acquire);
-                const std::uint64_t lag = seen > ts ? seen - ts : 0;
-                if (lag > params.lookahead) {
-                    ++my_violations;
-                    my_max_lag =
-                        std::max(my_max_lag, lag - params.lookahead);
-                }
-                while (seen < ts &&
-                       !clock.compare_exchange_weak(
-                           seen, ts, std::memory_order_acq_rel))
-                    ;
-                my_vt = std::max(my_vt, ts);
-                ++my_committed;
-                KLSM_TRACE_EVENT(trace::kind::des_commit, lp, lag);
-                const std::uint64_t done =
-                    committed.fetch_add(1, std::memory_order_relaxed) + 1;
-                if (done >= params.target_events) {
-                    stop.store(true, std::memory_order_relaxed);
-                    break;
-                }
-                // Self-message: one successor keeps the population
-                // constant.  Every increment is at least lookahead+1,
-                // which is what makes `lookahead` the model's true
-                // causality tolerance.
-                const std::uint64_t next_ts =
-                    ts + params.lookahead + 1 +
-                    rng.bounded(2 * params.mean_delay + 1);
-                {
-                    stats::op_sample sample{params.latency, t,
-                                            stats::op_kind::insert};
-                    h.insert(next_ts, rng.bounded(params.lps));
+    const auto worker = [&](unsigned t, start_gate &go) {
+        xoroshiro128 rng{params.seed + 104729 * (t + 1)};
+        auto h = pq_handle(q);
+        trace::progress_counters *const prog = params.hooks.progress;
+        std::uint64_t my_committed = 0, my_scheduled = 0;
+        std::uint64_t my_violations = 0, my_failed = 0;
+        std::uint64_t my_max_lag = 0, my_vt = 0;
+        go.wait();
+        std::uint64_t ts, lp;
+        while (!stop.load(std::memory_order_relaxed)) {
+            bool ok;
+            {
+                stats::op_sample sample{params.hooks.latency, t,
+                                        stats::op_kind::delete_min};
+                ok = h.try_delete_min(ts, lp);
+                if (ok)
                     sample.commit();
-                }
-                ++my_scheduled;
-                if (prog != nullptr)
-                    prog->publish(t, my_committed + my_scheduled,
-                                  my_failed);
             }
-            h.flush();
-            // `committed` is already global (the stop check needs it
-            // live); merge the rest of the thread-local tallies.
-            scheduled.fetch_add(my_scheduled);
-            violations.fetch_add(my_violations);
-            failed.fetch_add(my_failed);
-            std::uint64_t cur = max_lag.load(std::memory_order_relaxed);
-            while (my_max_lag > cur &&
-                   !max_lag.compare_exchange_weak(cur, my_max_lag))
+            if (!ok) {
+                ++my_failed;
+                // The population is constant, so a failed pop means
+                // events are sitting in handle buffers; publish ours
+                // so the simulation cannot wedge.
+                h.flush();
+                continue;
+            }
+            // Commit: check causality against the LP's clock, then
+            // advance it to this event's timestamp.
+            auto &clock = clocks[lp % params.lps];
+            std::uint64_t seen = clock.load(std::memory_order_acquire);
+            const std::uint64_t lag = seen > ts ? seen - ts : 0;
+            if (lag > params.lookahead) {
+                ++my_violations;
+                my_max_lag =
+                    std::max(my_max_lag, lag - params.lookahead);
+            }
+            while (seen < ts &&
+                   !clock.compare_exchange_weak(
+                       seen, ts, std::memory_order_acq_rel))
                 ;
-            cur = virtual_time.load(std::memory_order_relaxed);
-            while (my_vt > cur &&
-                   !virtual_time.compare_exchange_weak(cur, my_vt))
-                ;
-        });
-    }
-
-    periodic_ticker ticker{params.on_adapt_tick, params.adapt_tick_s};
-    timer.reset();
-    sync.arrive_and_wait();
-    for (auto &th : pool)
-        th.join();
+            my_vt = std::max(my_vt, ts);
+            ++my_committed;
+            KLSM_TRACE_EVENT(trace::kind::des_commit, lp, lag);
+            const std::uint64_t done =
+                committed.fetch_add(1, std::memory_order_relaxed) + 1;
+            if (done >= params.target_events) {
+                stop.store(true, std::memory_order_relaxed);
+                break;
+            }
+            // Self-message: one successor keeps the population
+            // constant.  Every increment is at least lookahead+1,
+            // which is what makes `lookahead` the model's true
+            // causality tolerance.
+            const std::uint64_t next_ts =
+                ts + params.lookahead + 1 +
+                rng.bounded(2 * params.mean_delay + 1);
+            {
+                stats::op_sample sample{params.hooks.latency, t,
+                                        stats::op_kind::insert};
+                h.insert(next_ts, rng.bounded(params.lps));
+                sample.commit();
+            }
+            ++my_scheduled;
+            if (prog != nullptr)
+                prog->publish(t, my_committed + my_scheduled,
+                              my_failed);
+        }
+        h.flush();
+        // `committed` is already global (the stop check needs it
+        // live); merge the rest of the thread-local tallies.
+        scheduled.fetch_add(my_scheduled);
+        violations.fetch_add(my_violations);
+        failed.fetch_add(my_failed);
+        std::uint64_t cur = max_lag.load(std::memory_order_relaxed);
+        while (my_max_lag > cur &&
+               !max_lag.compare_exchange_weak(cur, my_max_lag))
+            ;
+        cur = virtual_time.load(std::memory_order_relaxed);
+        while (my_vt > cur &&
+               !virtual_time.compare_exchange_weak(cur, my_vt))
+            ;
+    };
+    const worker_run run = run_workers(params.threads, params.hooks, worker);
 
     des_result out;
-    out.elapsed_s = timer.elapsed_s();
+    out.elapsed_s = run.elapsed_s;
     out.committed = committed.load();
     out.scheduled = scheduled.load();
     out.violations = violations.load();
     out.max_lag = max_lag.load();
     out.virtual_time = virtual_time.load();
     out.failed_pops = failed.load();
-    out.pin_failures = pin_failures.load();
+    out.pin_failures = run.pin_failures;
     return out;
 }
 

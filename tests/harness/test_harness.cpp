@@ -1,4 +1,5 @@
 #include "harness/quality.hpp"
+#include "harness/run_workers.hpp"
 #include "harness/throughput.hpp"
 #include "harness/workload.hpp"
 
@@ -10,6 +11,15 @@
 #include "util/thread_id.hpp"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace klsm {
 namespace {
@@ -33,6 +43,97 @@ TEST(Workload, PrefillRespectsKeyBits) {
     std::uint64_t v;
     while (q.try_delete_min(k, v))
         EXPECT_LT(k, 256u);
+}
+
+TEST(RunWorkers, EveryWorkerIndexRunsOnceInsideTheWindow) {
+    constexpr unsigned threads = 4;
+    std::vector<std::atomic<unsigned>> runs(threads);
+    std::vector<std::uint64_t> release(threads, 0);
+    std::atomic<bool> window_open{false};
+    const auto window = [&] {
+        window_open.store(true);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    };
+    const worker_run run = run_workers(
+        threads, run_hooks{},
+        [&](unsigned t, start_gate &go) {
+            release[t] = go.wait();
+            runs[t].fetch_add(1);
+            // Still running once the window opens: the join cannot
+            // come before window().
+            while (!window_open.load())
+                std::this_thread::yield();
+        },
+        window);
+    for (unsigned t = 0; t < threads; ++t) {
+        EXPECT_EQ(runs[t].load(), 1u) << "worker " << t;
+        // One release stamp, shared by every worker and the result.
+        EXPECT_EQ(release[t], run.start_ns) << "worker " << t;
+    }
+    EXPECT_NE(run.start_ns, 0u);
+    EXPECT_EQ(run.pin_failures, 0u);
+    EXPECT_GE(run.elapsed_s, 0.02) << "window() runs before the join";
+}
+
+TEST(RunWorkers, FailedPinsAreCountedAndWorkersStillRun) {
+    constexpr unsigned threads = 3;
+    run_hooks hooks;
+    hooks.pin_cpus = {100000}; // far past the last CPU: setaffinity fails
+    std::atomic<unsigned> ran{0};
+    const worker_run run =
+        run_workers(threads, hooks, [&](unsigned, start_gate &go) {
+            go.wait();
+            ran.fetch_add(1);
+        });
+    EXPECT_EQ(run.pin_failures, threads);
+    EXPECT_EQ(ran.load(), threads);
+}
+
+TEST(RunWorkers, AdaptTickFiresWhileWorkersRun) {
+    run_hooks hooks;
+    std::atomic<unsigned> ticks{0};
+    hooks.on_adapt_tick = [&] { ticks.fetch_add(1); };
+    hooks.adapt_tick_s = 0.001;
+    std::atomic<bool> seen{false};
+    run_workers(2, hooks, [&](unsigned t, start_gate &go) {
+        go.wait();
+        if (t != 0)
+            return;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (ticks.load() == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        seen.store(ticks.load() > 0);
+    });
+    EXPECT_TRUE(seen.load()) << "no tick while a worker was running";
+}
+
+TEST(RunWorkers, DefaultHooksNeitherPinNorCapture) {
+    const run_hooks hooks{};
+    EXPECT_TRUE(hooks.pin_cpus.empty());
+    EXPECT_EQ(hooks.latency, nullptr);
+    EXPECT_FALSE(hooks.on_adapt_tick);
+    EXPECT_EQ(hooks.progress, nullptr);
+#if defined(__linux__)
+    cpu_set_t caller;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(caller), &caller), 0);
+    std::atomic<unsigned> same_mask{0};
+#endif
+    const worker_run run =
+        run_workers(2, hooks, [&](unsigned, start_gate &go) {
+            go.wait();
+#if defined(__linux__)
+            cpu_set_t mine;
+            if (sched_getaffinity(0, sizeof(mine), &mine) == 0 &&
+                CPU_EQUAL(&mine, &caller))
+                same_mask.fetch_add(1);
+#endif
+        });
+    EXPECT_EQ(run.pin_failures, 0u);
+#if defined(__linux__)
+    EXPECT_EQ(same_mask.load(), 2u) << "a worker was pinned";
+#endif
 }
 
 TEST(Throughput, CountsAreConsistent) {
@@ -161,9 +262,9 @@ TEST(Throughput, PinnedWorkersMatchUnpinnedSemantics) {
     throughput_params params;
     params.threads = 2;
     params.duration_s = 0.05;
-    params.pin_cpus =
+    params.hooks.pin_cpus =
         topo::cpu_order(topo::topology::system(), topo::pin_policy::compact);
-    ASSERT_FALSE(params.pin_cpus.empty());
+    ASSERT_FALSE(params.hooks.pin_cpus.empty());
     const auto res = run_throughput(q, params);
     EXPECT_GT(res.total_ops, 0u);
     EXPECT_EQ(res.total_ops,
@@ -177,7 +278,7 @@ TEST(Throughput, LatencyCaptureCountsMatchSampling) {
     params.threads = 2;
     params.duration_s = 0.1;
     stats::latency_recorder_set recs{params.threads, 2};
-    params.latency = &recs;
+    params.hooks.latency = &recs;
     const auto res = run_throughput(q, params);
     const auto ins = recs.merged(stats::op_kind::insert);
     const auto del = recs.merged(stats::op_kind::delete_min);
@@ -202,7 +303,7 @@ TEST(Throughput, NullLatencySetMatchesSeedBehavior) {
     throughput_params params;
     params.threads = 2;
     params.duration_s = 0.05;
-    EXPECT_EQ(params.latency, nullptr);
+    EXPECT_EQ(params.hooks.latency, nullptr);
     const auto res = run_throughput(q, params);
     EXPECT_GT(res.total_ops, 0u);
 }
@@ -214,7 +315,7 @@ TEST(Quality, LatencyCaptureSeparatesOpKinds) {
     params.ops_per_thread = 2000;
     params.threads = 2;
     stats::latency_recorder_set recs{params.threads, 1};
-    params.latency = &recs;
+    params.hooks.latency = &recs;
     const auto res = measure_rank_error(q, params);
     const auto ins = recs.merged(stats::op_kind::insert);
     const auto del = recs.merged(stats::op_kind::delete_min);
@@ -235,8 +336,9 @@ TEST(Sssp, LatencyCaptureRecordsInsertsAndPops) {
     sssp_state state{g.num_nodes()};
     spin_heap<std::uint64_t, std::uint32_t> pq;
     stats::latency_recorder_set recs{2, 1};
-    const auto stats_out =
-        parallel_sssp(pq, g, 0, 2, state, {}, &recs);
+    run_hooks hooks;
+    hooks.latency = &recs;
+    const auto stats_out = parallel_sssp(pq, g, 0, 2, state, hooks);
     const auto ins = recs.merged(stats::op_kind::insert);
     const auto del = recs.merged(stats::op_kind::delete_min);
     EXPECT_GT(ins.count(), 0u);
