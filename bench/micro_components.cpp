@@ -133,12 +133,12 @@ BENCHMARK(BM_spy)->Arg(256)->Arg(4096);
 // paper's intro comparison (Section 6.1: "the performance of the DLSM is
 // close to the binary heap ... k = 0 is significantly slower").
 template <typename Q>
-void run_pq_churn(benchmark::State &state, Q &q) {
+void run_pq_churn(benchmark::State &state, Q &q, std::size_t warm = 4096) {
     xoroshiro128 rng{11};
     bench_key k;
     bench_val v;
-    // Warm with 4096 elements so deletes hit a populated structure.
-    for (int i = 0; i < 4096; ++i)
+    // Warm the structure so deletes hit a populated queue.
+    for (std::size_t i = 0; i < warm; ++i)
         q.insert(static_cast<bench_key>(rng()), 0);
     for (auto _ : state) {
         q.insert(static_cast<bench_key>(rng()), 0);
@@ -171,6 +171,22 @@ void BM_single_thread_klsm(benchmark::State &state) {
     run_pq_churn(state, q);
 }
 BENCHMARK(BM_single_thread_klsm)->Arg(0)->Arg(4)->Arg(256)->Arg(4096);
+
+// The same loop in the large-resident regime: warmed with 2^20 keys (the
+// throughput_1m prefill) at k=256, so block-pool growth and big merges
+// are on the path.  Reports each pool family's footprint in MB.
+void BM_single_thread_klsm_resident(benchmark::State &state) {
+    k_lsm<bench_key, bench_val> q{256};
+    run_pq_churn(state, q, std::size_t{1} << 20);
+    const auto m = q.memory_stats();
+    const auto mb = [](std::uint64_t bytes) {
+        return static_cast<double>(bytes) / 1e6;
+    };
+    state.counters["shared_MB"] = mb(m.shared_blocks.bytes);
+    state.counters["dist_MB"] = mb(m.dist_blocks.bytes);
+    state.counters["items_MB"] = mb(m.items.bytes);
+}
+BENCHMARK(BM_single_thread_klsm_resident);
 
 } // namespace
 

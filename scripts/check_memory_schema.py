@@ -24,7 +24,10 @@ of a k-LSM-family structure (klsm, dlsm, numa_klsm) must carry
 
 with internally consistent values (rates in [0, 1], bound/prefaulted/
 reclaimed counts never exceeding chunks, released bytes never exceeding
-chunk bytes, resident_nodes only when queried).
+chunk bytes, resident_nodes only when queried), a DistLSM pool that
+never grew past the paper's four-blocks-per-level bound, and block pools
+whose chunks equal their fresh_allocs (one block per allocating
+acquire).
 
 Records produced by `--workload churn` additionally carry
 
@@ -218,6 +221,13 @@ def check_report(report, path, require_timeline=False):
         # DistLSM pools; the shared pools' safety valve is exempt.
         assert pools["dist_blocks"]["growth_beyond_bound"] == 0, \
             f"{path}: {structure} DistLSM pool grew beyond the bound"
+        # Block pools allocate on first access, one block per allocating
+        # acquire, so every chunk is exactly one fresh allocation.
+        for name in ("dist_blocks", "shared_blocks"):
+            pool = pools[name]
+            assert pool["chunks"] == pool["fresh_allocs"], \
+                f"{path}: {structure}.{name} chunks {pool['chunks']} != " \
+                f"fresh_allocs {pool['fresh_allocs']}"
         checked += 1
     assert checked, f"{path}: no k-LSM-family records with memory data"
     if require_timeline:

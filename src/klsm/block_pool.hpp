@@ -21,12 +21,16 @@
 //     pushed by a CAS whose expected value is an array that still
 //     references it), so absence is a stable reclamation criterion.
 //
-// We allocate four blocks per level eagerly on first use of a level, per
-// the paper's bound, but allow the pool to grow as a safety valve — an
-// extra allocation is strictly better than an unbounded search or a
-// corruption if the bound were ever exceeded by a code path we reasoned
-// about incorrectly.  Growth is counted so tests can assert the paper's
-// bound actually holds.
+// Blocks are "allocated on first access", as the quote says, one at a
+// time: an acquire that finds no free block and no recyclable published
+// block in its bucket allocates exactly one.  A level that never holds
+// four blocks at once never pays for four (at a 10^6-item resident set a
+// top-level block is ~24 MiB).  The pool may grow past four blocks per
+// level as a safety valve — an extra allocation is strictly better than
+// an unbounded search or a corruption if the bound were ever exceeded by
+// a code path we reasoned about incorrectly.  Only an allocation into a
+// bucket that already holds `blocks_per_level` blocks counts as growth,
+// so tests can assert the paper's bound actually holds.
 
 #include <cassert>
 #include <cstdint>
@@ -63,13 +67,6 @@ public:
                          Pred &&may_recycle) {
         assert(capacity_pow < max_levels);
         auto &bucket = buckets_[capacity_pow];
-        bool allocated = false;
-        if (bucket.empty()) {
-            bucket.reserve(blocks_per_level);
-            for (std::size_t i = 0; i < blocks_per_level; ++i)
-                push_new_block(bucket, capacity_pow);
-            allocated = true;
-        }
         block<K, V> *found = nullptr;
         for (auto &b : bucket) {
             switch (b->pool_state()) {
@@ -86,17 +83,16 @@ public:
             if (found)
                 break;
         }
-        if (!found) {
-            // Safety valve; see header comment.
+        if (found) {
+            stats_.count_reuse_hit();
+        } else {
+            // Past the bound is the safety valve; see header comment.
+            if (bucket.size() >= blocks_per_level)
+                stats_.count_growth();
             push_new_block(bucket, capacity_pow);
             found = bucket.back().get();
-            allocated = true;
-            stats_.count_growth();
-        }
-        if (allocated)
             stats_.count_fresh();
-        else
-            stats_.count_reuse_hit();
+        }
         if (found->entries_released()) {
             // A shrink released this block's entry pages; they refault
             // (zeroed) as the new mutation window writes them.
@@ -193,6 +189,9 @@ public:
     }
 
 private:
+    // Kept out of acquire's body: with these lines written inline there,
+    // throughput_1m measured ~15% slower at T=1 and T=4 (code layout of
+    // the hot reuse path, not the allocation itself).
     void push_new_block(
         std::vector<std::unique_ptr<block<K, V>>> &bucket,
         std::uint32_t capacity_pow) {

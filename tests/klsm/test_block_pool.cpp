@@ -23,7 +23,7 @@ TEST(BlockPool, AcquireReturnsMutatingBlockOfRequestedShape) {
     EXPECT_EQ(b->pool_state(), block_state::free);
 }
 
-TEST(BlockPool, FourBlocksPerLevelPreallocated) {
+TEST(BlockPool, FourHeldBlocksStayWithinBound) {
     pool_t pool;
     std::set<block_t *> distinct;
     block_t *held[4];
@@ -35,6 +35,16 @@ TEST(BlockPool, FourBlocksPerLevelPreallocated) {
     EXPECT_EQ(pool.overflow_allocations(), 0u);
     for (auto *b : held)
         pool.release(b);
+}
+
+TEST(BlockPool, FirstAcquireAllocatesOneBlock) {
+    pool_t pool;
+    block_t *b = pool.acquire(5, 5, pool_t::always_recyclable);
+    EXPECT_EQ(pool.total_blocks(), 1u);
+    const auto snap = pool.stats().snapshot();
+    EXPECT_EQ(snap.chunks, 1u);
+    EXPECT_EQ(snap.fresh_allocs, 1u);
+    pool.release(b);
 }
 
 TEST(BlockPool, RecyclesFreedBlocksWithoutGrowth) {
@@ -119,7 +129,7 @@ TEST(BlockPool, SeparateBucketsPerCapacity) {
     EXPECT_NE(a, b);
     EXPECT_EQ(a->capacity(), 1u);
     EXPECT_EQ(b->capacity(), 32u);
-    EXPECT_EQ(pool.total_blocks(), 8u) << "4 per touched level";
+    EXPECT_EQ(pool.total_blocks(), 2u) << "1 per touched level";
     pool.release(a);
     pool.release(b);
 }

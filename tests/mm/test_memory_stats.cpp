@@ -49,12 +49,13 @@ TEST(PoolStats, BlockPoolCountsReuseFreshAndGrowth) {
     for (int i = 0; i < 6; ++i)
         held.push_back(pool.acquire(0, 0, pool_t::always_recyclable));
     const auto snap = pool.stats().snapshot();
-    // Acquires 1 (eager batch) and 5, 6 (overflow) allocated; 2-4 hit.
-    EXPECT_EQ(snap.reuse_hits, 3u);
-    EXPECT_EQ(snap.fresh_allocs, 3u);
+    // Every acquire allocates one block (all earlier ones are held);
+    // 5 and 6 land past the four-per-level bound.
+    EXPECT_EQ(snap.reuse_hits, 0u);
+    EXPECT_EQ(snap.fresh_allocs, 6u);
     EXPECT_EQ(snap.growth_beyond_bound, 2u);
     EXPECT_EQ(snap.growth_beyond_bound, pool.overflow_allocations());
-    EXPECT_EQ(snap.chunks, 6u) << "4 eager + 2 overflow blocks";
+    EXPECT_EQ(snap.chunks, 6u) << "4 within the bound + 2 overflow blocks";
     EXPECT_GT(snap.bytes, 0u);
     for (auto *b : held)
         pool.release(b);
@@ -74,6 +75,22 @@ TEST(PoolStats, KLsmAggregatesItemAndBlockPools) {
         << "k=8 forces spills into the shared component";
     EXPECT_FALSE(m.resident_queried)
         << "residency is opt-in, not a side effect";
+}
+
+// Blocks are allocated on first access, one at a time, so the shared
+// pools' footprint stays within a small multiple of the resident
+// entries; four blocks for every level ever touched would not.
+TEST(PoolStats, SharedBlockBytesTrackResidentItems) {
+    using entry_t = block<std::uint32_t, std::uint32_t>::entry;
+    constexpr std::uint64_t n = std::uint64_t{1} << 16;
+    k_lsm<std::uint32_t, std::uint32_t> q{256};
+    xoroshiro128 rng{7};
+    for (std::uint64_t i = 0; i < n; ++i)
+        q.insert(static_cast<std::uint32_t>(rng()),
+                 static_cast<std::uint32_t>(i));
+    const auto m = q.memory_stats();
+    EXPECT_LE(m.shared_blocks.bytes, 4 * n * sizeof(entry_t));
+    EXPECT_EQ(m.dist_blocks.growth_beyond_bound, 0u);
 }
 
 TEST(PoolStats, ResidencyQueryCoversTheBackingPages) {
