@@ -25,75 +25,21 @@ if [[ ! -x "$BUILD_DIR/bench/klsm_bench" ]]; then
     echo "error: $BUILD_DIR/bench/klsm_bench not found; build first" >&2
     exit 2
 fi
+# Without python3 no report could be validated, so refuse to run
+# rather than pass with every check skipped.
+if ! command -v python3 > /dev/null; then
+    echo "error: python3 not found; the smoke stage validates every" \
+         "report with it" >&2
+    exit 2
+fi
+SCRIPTS="$(dirname "$0")"
 mkdir -p "$REPORT_DIR"
 
-check_json() {
-    [[ -s "$1" ]] || { echo "empty JSON report: $1" >&2; exit 1; }
-    if command -v python3 > /dev/null; then
-        python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$1"
-    fi
-}
-
-# Smoke runs capture per-op latency by default; every record must carry
-# the full latency schema (README "Latency metrics").
-check_latency() {
-    command -v python3 > /dev/null || return 0
-    python3 - "$1" <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-for record in report["records"]:
-    lat = record["latency"]
-    for op in ("insert", "delete_min"):
-        for field in ("count", "p50", "p99", "max", "dropped_intervals",
-                      "buckets"):
-            assert field in lat[op], f"latency.{op}.{field} missing"
-EOF
-}
-
-# Adaptive runs must carry the full `adaptation` schema on every
-# dynamic-k record (README "Adaptive relaxation"): a well-formed
-# k_trajectory inside [k_min, k_max] with monotone ticks, the
-# contention telemetry block, and per-shard decision logs.
-check_adaptation() {
-    command -v python3 > /dev/null || return 0
-    python3 - "$1" <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-assert report["adaptive"] is True, "adaptive meta flag missing"
-checked = 0
-for record in report["records"]:
-    if record["structure"] not in ("klsm", "numa_klsm"):
-        continue
-    a = record["adaptation"]
-    for field in ("k_min", "k_max", "ticks", "shards", "k_initial",
-                  "k_final", "k_max_seen", "k_trajectory", "contention",
-                  "shard_decisions"):
-        assert field in a, f"adaptation.{field} missing"
-    traj = a["k_trajectory"]
-    assert traj and traj[0][0] == 0, "trajectory must start at tick 0"
-    last_tick = -1
-    for tick, k in traj:
-        assert tick > last_tick, "trajectory ticks must be monotone"
-        assert a["k_min"] <= k <= a["k_max"], f"k {k} outside bounds"
-        last_tick = tick
-    assert a["k_max_seen"] == max(k for _, k in traj)
-    for field in ("publishes", "publish_retries", "fail_rate_ewma",
-                  "shared_hits", "local_hits", "spies"):
-        assert field in a["contention"], f"contention.{field} missing"
-    assert len(a["shard_decisions"]) == a["shards"]
-    checked += 1
-assert checked, "no adaptation objects found in an adaptive report"
-EOF
-}
-
-# Allocation-telemetry schema (README "Memory placement"): every
-# k-LSM-family record of an --alloc-stats report must carry the full
-# `memory` object.  The field-level checks live in
-# scripts/check_memory_schema.py so the CTest wiring test and the CI
-# memory-placement job validate against the same definition.
-check_memory() {
-    command -v python3 > /dev/null || return 0
-    python3 "$(dirname "$0")/check_memory_schema.py" "$1" > /dev/null
+# Validate reports with scripts/check_report.py: every record block a
+# report carries, and every block its meta requires (README "Report
+# validation").
+check_report() {
+    python3 "$SCRIPTS/check_report.py" "$@" > /dev/null
 }
 
 # Memory placement: node-bound pools behind --numa-alloc, telemetry
@@ -112,8 +58,7 @@ memory_section() {
         --structure klsm,dlsm,multiqueue,linden,spraylist,heap,centralized,hybrid,numa_klsm \
         --threads 1,2 --alloc-stats --numa-alloc bind \
         --json-out "$json" > /dev/null
-    check_json "$json"
-    check_memory "$json"
+    check_report "$json"
     echo "smoke OK: memory bind, all structures"
     # Every policy through the placement-aware structures.
     for mp in none bind firsttouch; do
@@ -122,8 +67,7 @@ memory_section() {
             --structure klsm,dlsm,numa_klsm --threads 2 \
             --alloc-stats --numa-alloc "$mp" \
             --json-out "$json" > /dev/null
-        check_json "$json"
-        check_memory "$json"
+        check_report "$json"
         echo "smoke OK: memory policy=$mp"
     done
     # The acceptance shape: numa_klsm pinned compact, bind, telemetry.
@@ -131,21 +75,8 @@ memory_section() {
     "$BUILD_DIR/bench/klsm_bench" --structure numa_klsm --pin compact \
         --smoke --alloc-stats --numa-alloc bind \
         --json-out "$json" > /dev/null
-    check_json "$json"
-    check_memory "$json"
-    check_latency "$json"
+    check_report "$json"
     echo "smoke OK: memory acceptance shape"
-}
-
-# Service-mode schema (README "Service mode & SLOs"): every record of a
-# --workload service report must carry schema-valid `service` + `slo`
-# objects with the intended >= completion percentile ordering.  The
-# field-level checks live in scripts/check_service_schema.py so the
-# CTest wiring test and the CI service-smoke job validate against the
-# same definition.
-check_service() {
-    command -v python3 > /dev/null || return 0
-    python3 "$(dirname "$0")/check_service_schema.py" "$1" > /dev/null
 }
 
 # Open-loop service mode: arrival-driven traffic with SLO verdicts.
@@ -160,8 +91,7 @@ service_section() {
         "$BUILD_DIR/bench/klsm_bench" --smoke --workload service \
             --structure klsm,numa_klsm --arrival "$a" --rate 200000 \
             --threads 2 --json-out "$json" > /dev/null
-        check_json "$json"
-        check_service "$json"
+        check_report "$json"
         echo "smoke OK: service arrival=$a"
     done
     # The ISSUE's acceptance shape: poisson at 500k ops/s.
@@ -169,17 +99,13 @@ service_section() {
     "$BUILD_DIR/bench/klsm_bench" --workload service \
         --structure klsm,numa_klsm --arrival poisson --rate 500000 \
         --smoke --json-out "$json" > /dev/null
-    check_json "$json"
-    check_service "$json"
-    check_latency "$json"
+    check_report "$json"
     echo "smoke OK: service acceptance shape"
     # Identity diff through compare_bench's service path: the SLO
     # verdict and achieved-rate machinery must hold on a self-compare.
-    if command -v python3 > /dev/null; then
-        python3 "$(dirname "$0")/compare_bench.py" \
-            "$json" "$json" > /dev/null
-        echo "smoke OK: service self-diff clean"
-    fi
+    python3 "$SCRIPTS/compare_bench.py" \
+        "$json" "$json" > /dev/null
+    echo "smoke OK: service self-diff clean"
     # The sustainable-rate search with a latency objective: probes must
     # converge and emit the sustainable_rate + probes fields.
     json="$REPORT_DIR/service-sustainable.json"
@@ -187,8 +113,7 @@ service_section() {
         --structure klsm --arrival poisson --rate 100000 --threads 2 \
         --find-sustainable --slo-p99-us 50000 \
         --json-out "$json" > /dev/null
-    check_json "$json"
-    check_service "$json"
+    check_report "$json"
     echo "smoke OK: service --find-sustainable"
 }
 
@@ -209,8 +134,7 @@ soak_section() {
         "$BUILD_DIR/bench/klsm_bench" --smoke --workload churn \
             --structure klsm,dlsm,numa_klsm --threads 2 \
             --reclaim "$rp" --alloc-stats --json-out "$json" > /dev/null
-        check_json "$json"
-        check_memory "$json"
+        check_report "$json"
         echo "smoke OK: churn reclaim=$rp"
     done
     # Churn must also run green on the non-pool baselines (no timeline
@@ -219,7 +143,7 @@ soak_section() {
     "$BUILD_DIR/bench/klsm_bench" --smoke --workload churn \
         --structure linden,heap --threads 2 --json-out "$json" \
         > /dev/null
-    check_json "$json"
+    check_report "$json"
     echo "smoke OK: churn baselines"
     # Huge-page request with graceful decay: on runners without
     # hugetlbfs reservations this exercises the THP-madvise and plain
@@ -228,34 +152,18 @@ soak_section() {
     "$BUILD_DIR/bench/klsm_bench" --smoke --workload churn \
         --structure klsm --threads 2 --huge-pages --alloc-stats \
         --json-out "$json" > /dev/null
-    check_json "$json"
-    check_memory "$json"
+    check_report "$json"
     echo "smoke OK: churn --huge-pages"
     # The acceptance shape through the enforcing checker (schema +
     # shrink events; plateau stays advisory at smoke scale).
-    if command -v python3 > /dev/null; then
-        python3 "$(dirname "$0")/check_memory_schema.py" \
-            --bench-churn "$BUILD_DIR/bench/klsm_bench" --smoke \
-            > /dev/null
-        echo "smoke OK: churn acceptance gates"
-        # Identity diff through compare_bench's churn path: the RSS
-        # high-water and plateau machinery must hold on a self-compare.
-        python3 "$(dirname "$0")/compare_bench.py" \
-            "$REPORT_DIR/churn-full.json" "$REPORT_DIR/churn-full.json" \
-            > /dev/null
-        echo "smoke OK: churn self-diff clean"
-    fi
-}
-
-# Application-workload schema (README "Application workloads"): every
-# record of a --workload bnb/des report must carry the full `bnb`/`des`
-# accounting block with match/budget verdicts intact.  The field-level
-# checks live in scripts/check_workload_schema.py so the CTest wiring
-# test and the CI workload-smoke job validate against the same
-# definition.
-check_workloads() {
-    command -v python3 > /dev/null || return 0
-    python3 "$(dirname "$0")/check_workload_schema.py" "$1" > /dev/null
+    check_report --bench "$BUILD_DIR/bench/klsm_bench" churn --smoke
+    echo "smoke OK: churn acceptance gates"
+    # Identity diff through compare_bench's churn path: the RSS
+    # high-water and plateau machinery must hold on a self-compare.
+    python3 "$SCRIPTS/compare_bench.py" \
+        "$REPORT_DIR/churn-full.json" "$REPORT_DIR/churn-full.json" \
+        > /dev/null
+    echo "smoke OK: churn self-diff clean"
 }
 
 # Application workloads: branch-and-bound and discrete-event
@@ -272,9 +180,7 @@ workloads_section() {
         "$BUILD_DIR/bench/klsm_bench" --workload "$w" \
             --structure klsm,multiqueue --smoke \
             --json-out "$json" > /dev/null
-        check_json "$json"
-        check_workloads "$json"
-        check_latency "$json"
+        check_report "$json"
         echo "smoke OK: workload $w"
     done
     # Combined selection: one report, records attributed per workload.
@@ -282,8 +188,7 @@ workloads_section() {
     "$BUILD_DIR/bench/klsm_bench" --workload bnb,des \
         --structure klsm,heap --threads 1,2 --smoke \
         --json-out "$json" > /dev/null
-    check_json "$json"
-    check_workloads "$json"
+    check_report "$json"
     echo "smoke OK: workload bnb,des combined"
     # Adaptive k through both searches: the controller must move k and
     # emit the full adaptation schema while the workloads run.
@@ -292,25 +197,21 @@ workloads_section() {
         "$BUILD_DIR/bench/klsm_bench" --smoke --workload "$w" \
             --structure klsm --threads 2 --adaptive \
             --k-min 16 --k-max 4096 --json-out "$json" > /dev/null
-        check_json "$json"
-        check_adaptation "$json"
-        check_workloads "$json"
+        check_report "$json"
         echo "smoke OK: adaptive $w"
     done
-    if command -v python3 > /dev/null; then
-        # Identity diff through compare_bench's bnb/des paths: the
-        # match/budget verdict machinery must hold on a self-compare.
-        python3 "$(dirname "$0")/compare_bench.py" \
-            "$REPORT_DIR/workload-combined.json" \
-            "$REPORT_DIR/workload-combined.json" > /dev/null
-        echo "smoke OK: workload self-diff clean"
-        # klsm vs multiqueue head-to-head inside each report.
-        python3 "$(dirname "$0")/compare_bench.py" --head-to-head \
-            "$REPORT_DIR/workload-bnb.json" > /dev/null
-        python3 "$(dirname "$0")/compare_bench.py" --head-to-head \
-            "$REPORT_DIR/workload-des.json" > /dev/null
-        echo "smoke OK: workload head-to-head"
-    fi
+    # Identity diff through compare_bench's bnb/des paths: the
+    # match/budget verdict machinery must hold on a self-compare.
+    python3 "$SCRIPTS/compare_bench.py" \
+        "$REPORT_DIR/workload-combined.json" \
+        "$REPORT_DIR/workload-combined.json" > /dev/null
+    echo "smoke OK: workload self-diff clean"
+    # klsm vs multiqueue head-to-head inside each report.
+    python3 "$SCRIPTS/compare_bench.py" --head-to-head \
+        "$REPORT_DIR/workload-bnb.json" > /dev/null
+    python3 "$SCRIPTS/compare_bench.py" --head-to-head \
+        "$REPORT_DIR/workload-des.json" > /dev/null
+    echo "smoke OK: workload head-to-head"
 }
 
 if [[ "$MODE" == "--memory-only" ]]; then
@@ -348,7 +249,7 @@ for s in klsm dlsm multiqueue linden spraylist heap centralized hybrid \
         json="$REPORT_DIR/$s-$w.json"
         "$BUILD_DIR/bench/klsm_bench" --smoke --workload "$w" \
             --structure "$s" --threads 1,2 --json-out "$json" > /dev/null
-        check_json "$json"
+        check_report "$json"
         echo "smoke OK: $s/$w"
     done
 done
@@ -362,7 +263,7 @@ for p in none compact scatter numa_fill; do
     "$BUILD_DIR/bench/klsm_bench" --smoke --workload throughput \
         --structure klsm,numa_klsm --threads 2 --pin "$p" \
         --json-out "$json" > /dev/null
-    check_json "$json"
+    check_report "$json"
     echo "smoke OK: pin=$p"
 done
 # The acceptance shape: a multi-policy sweep in one invocation.
@@ -370,8 +271,7 @@ json="$REPORT_DIR/pin-sweep.json"
 "$BUILD_DIR/bench/klsm_bench" --smoke --workload throughput \
     --structure numa_klsm --pin compact,scatter --threads 1,2 \
     --json-out "$json" > /dev/null
-check_json "$json"
-check_latency "$json"
+check_report "$json"
 echo "smoke OK: pin sweep"
 
 echo "== adaptive relaxation: one sweep per workload =="
@@ -382,8 +282,7 @@ for w in throughput quality sssp; do
     "$BUILD_DIR/bench/klsm_bench" --smoke --workload "$w" \
         --structure klsm,numa_klsm --threads 2 --adaptive \
         --k-min 16 --k-max 4096 --json-out "$json" > /dev/null
-    check_json "$json"
-    check_adaptation "$json"
+    check_report "$json"
     echo "smoke OK: adaptive $w"
 done
 # The acceptance shape (--benchmark alias included): adaptive vs the
@@ -392,14 +291,10 @@ json="$REPORT_DIR/adaptive-accept.json"
 "$BUILD_DIR/bench/klsm_bench" --benchmark throughput \
     --structure klsm,numa_klsm --adaptive --k-min 16 --k-max 4096 \
     --threads 1,2 --smoke --json-out "$json" > /dev/null
-check_json "$json"
-check_adaptation "$json"
-check_latency "$json"
-if command -v python3 > /dev/null; then
-    python3 "$(dirname "$0")/compare_bench.py" \
-        "$REPORT_DIR/klsm-throughput.json" "$json" \
-        --warn-only --sweep > /dev/null
-fi
+check_report "$json"
+python3 "$SCRIPTS/compare_bench.py" \
+    "$REPORT_DIR/klsm-throughput.json" "$json" \
+    --warn-only --sweep > /dev/null
 echo "smoke OK: adaptive acceptance sweep"
 
 echo "== buffered handles: engineered multiqueue vs buffered k-LSM =="
@@ -413,48 +308,28 @@ json="$REPORT_DIR/buffered-quality.json"
     --structure klsm,multiqueue --threads 2 \
     --insert-buffer 16 --peek-cache 4 --mq-stickiness 8 --mq-buffer 16 \
     --json-out "$json" > /dev/null
-check_json "$json"
+check_report "$json"
 echo "smoke OK: buffered quality (extended rho enforced)"
 json="$REPORT_DIR/buffered-throughput.json"
 "$BUILD_DIR/bench/klsm_bench" --smoke --workload throughput \
     --structure klsm,multiqueue --threads 1,2 \
     --insert-buffer 16 --peek-cache 4 --mq-stickiness 8 --mq-buffer 16 \
     --json-out "$json" > /dev/null
-check_json "$json"
-check_latency "$json"
+check_report "$json"
 echo "smoke OK: buffered throughput"
-if command -v python3 > /dev/null; then
-    python3 "$(dirname "$0")/compare_bench.py" --head-to-head \
-        "$REPORT_DIR/buffered-quality.json" > /dev/null
-    python3 "$(dirname "$0")/compare_bench.py" --head-to-head \
-        "$REPORT_DIR/buffered-throughput.json" > /dev/null
-    echo "smoke OK: klsm-vs-multiqueue head-to-head"
-fi
+python3 "$SCRIPTS/compare_bench.py" --head-to-head \
+    "$REPORT_DIR/buffered-quality.json" > /dev/null
+python3 "$SCRIPTS/compare_bench.py" --head-to-head \
+    "$REPORT_DIR/buffered-throughput.json" > /dev/null
+echo "smoke OK: klsm-vs-multiqueue head-to-head"
 # Adaptive with the buffer knob engaged: the adaptation object must
-# carry the buffer {initial, final, max_seen} block.
+# carry the buffer {initial, final, max_seen} block, starting at the
+# configured --insert-buffer depth.
 json="$REPORT_DIR/buffered-adaptive.json"
 "$BUILD_DIR/bench/klsm_bench" --smoke --workload throughput \
     --structure klsm --threads 2 --adaptive --k-min 16 --k-max 4096 \
     --insert-buffer 16 --json-out "$json" > /dev/null
-check_json "$json"
-check_adaptation "$json"
-if command -v python3 > /dev/null; then
-    python3 - "$json" <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-checked = 0
-for record in report["records"]:
-    if record["structure"] != "klsm":
-        continue
-    buf = record["adaptation"]["buffer"]
-    for field in ("initial", "final", "max_seen"):
-        assert field in buf, f"adaptation.buffer.{field} missing"
-    assert buf["initial"] == 16, "buffer initial != configured depth"
-    assert buf["max_seen"] >= buf["initial"]
-    checked += 1
-assert checked, "no buffered adaptation objects found"
-EOF
-fi
+check_report "$json"
 echo "smoke OK: adaptive buffer knob"
 
 echo "== pinned sweeps: compact + scatter across every workload =="
@@ -465,8 +340,7 @@ for w in throughput quality sssp; do
     "$BUILD_DIR/bench/klsm_bench" --smoke --workload "$w" \
         --structure klsm,numa_klsm --pin compact,scatter --threads 2 \
         --json-out "$json" > /dev/null
-    check_json "$json"
-    check_latency "$json"
+    check_report "$json"
     echo "smoke OK: pinned sweep $w"
 done
 echo "smoke stage passed (reports in $REPORT_DIR)"
