@@ -1,16 +1,21 @@
 // Micro-benchmarks (google-benchmark) for the design choices DESIGN.md
 // calls out: versioned item allocation/reuse, block two-way merges,
 // Bloom-filter local-ordering checks, stamped-pointer CAS, DistLSM
-// insert/merge chains, spying, and single-thread k-LSM operation costs
-// across k.  These quantify the component costs behind Figure 3's
-// single-thread ordering (DLSM ~ binary heap >> k-LSM(0)).
+// insert/merge chains, spying, SharedLSM find-min/pivots, and
+// single-thread k-LSM operation costs across k.  These quantify the
+// component costs behind Figure 3's single-thread ordering (DLSM ~
+// binary heap >> k-LSM(0)).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "baselines/binary_heap.hpp"
 #include "klsm/block.hpp"
 #include "klsm/dist_lsm.hpp"
 #include "klsm/k_lsm.hpp"
+#include "klsm/shared_lsm.hpp"
 #include "mm/item_pool.hpp"
 #include "util/rng.hpp"
 #include "util/stamped_ptr.hpp"
@@ -128,6 +133,50 @@ void BM_spy(benchmark::State &state) {
         static_cast<std::int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_spy)->Arg(256)->Arg(4096);
+
+// The SharedLSM layer alone: find_min + take at a 2^20-item resident
+// set, so the cost is candidate selection plus the pivot walk after
+// each trim-only consolidation.  The set is refilled (untimed) whenever
+// a quarter of it has been deleted.
+void BM_shared_lsm_find_min(benchmark::State &state) {
+    constexpr std::uint32_t block_items = 1024;
+    constexpr std::size_t resident = std::size_t{1} << 20;
+    using block_t = block<bench_key, bench_val>;
+    item_pool<bench_key, bench_val> pool;
+    shared_lsm<bench_key, bench_val> q{
+        static_cast<std::size_t>(state.range(0))};
+    xoroshiro128 rng{13};
+    block_t src{block_t::level_for(block_items)};
+    const auto fill = [&](std::size_t items) {
+        std::vector<bench_key> keys(block_items);
+        for (std::size_t done = 0; done < items; done += block_items) {
+            for (auto &k : keys)
+                k = static_cast<bench_key>(rng());
+            std::sort(keys.rbegin(), keys.rend());
+            src.reuse_begin(src.capacity_pow());
+            for (const bench_key k : keys)
+                src.append(pool.allocate(k, 0));
+            src.seal();
+            q.insert(&src, src.filled());
+        }
+    };
+    fill(resident);
+    std::size_t deleted = 0;
+    for (auto _ : state) {
+        item_ref<bench_key, bench_val> ref;
+        do
+            ref = q.find_min(0);
+        while (!ref.take());
+        if (++deleted == resident / 4) {
+            state.PauseTiming();
+            fill(deleted);
+            deleted = 0;
+            state.ResumeTiming();
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_shared_lsm_find_min)->Arg(4)->Arg(256)->Arg(4096);
 
 // Single-thread cost of the full k-LSM vs a plain binary heap — the
 // paper's intro comparison (Section 6.1: "the performance of the DLSM is

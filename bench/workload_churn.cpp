@@ -3,10 +3,10 @@
 // with the queue quiesced and shrunk at every phase boundary.  Each
 // record carries a `memory_timeline` object — RSS and pool-counter
 // samples over the run plus the derived plateau verdict.  The timeline
-// is reported here and *enforced* by scripts/check_memory_schema.py
-// --bench-churn (shrink events observed, final RSS on the steady-phase
-// plateau), so a soak regression fails CI without making every local
-// bench run brittle.
+// is reported here and *enforced* by `scripts/check_report.py --bench
+// <klsm_bench> churn` (shrink events observed, final RSS on the
+// steady-phase plateau), so a soak regression fails CI without making
+// every local bench run brittle.
 
 #include <memory>
 

@@ -19,7 +19,7 @@ Usage:
     trace_report.py --self-test
 
 Exits nonzero on a malformed document, so CI can use it as a
-smoke-level loadability check on top of check_trace_schema.py.
+smoke-level loadability check on top of `check_report.py --trace`.
 """
 
 import json

@@ -18,7 +18,11 @@
 // (Listing 2), falling back to the block minimum when the pick is
 // logically deleted.  A per-block Bloom filter over contributing thread
 // ids lets a thread find its own minimal key first, preserving local
-// ordering semantics.
+// ordering semantics.  The candidate ranges are downward-closed (no
+// entry outside them is smaller than one inside), so after a
+// consolidation that only trimmed deleted entries, calculate_pivots
+// resumes from the old pivots and walks just the missing entries; a
+// merge, an insert or a lowered k forces a fresh walk.
 //
 // Progress: operations retry only when another thread successfully
 // replaced the shared array or recycled an array/block we were reading —
@@ -124,7 +128,7 @@ public:
             ts.created.push_back(nb);
 
             insert_block_slot(ts, snap, nb, lazy);
-            calculate_pivots(snap);
+            calculate_pivots(snap, /*resume=*/false);
             const std::uint64_t v = snap->seal();
 
             if (snap->count() == 0) {
@@ -182,7 +186,7 @@ public:
             // changed (Listing 3).
             snap->begin_mutate();
             const bool merged = consolidate(ts, snap, lazy);
-            calculate_pivots(snap);
+            calculate_pivots(snap, /*resume=*/!merged);
             const std::uint64_t v = snap->seal();
 
             if (snap->count() == 0) {
@@ -563,19 +567,45 @@ private:
 
     /// Compute per-slot pivot indices delimiting the <= k+1 smallest
     /// entries, by a multiway suffix walk over the sorted blocks.
-    void calculate_pivots(arr *snap) {
+    ///
+    /// The candidate ranges [pivot, filled) are downward-closed: every
+    /// range entry is <= every entry outside the ranges.  trim_slot and
+    /// remove_slot only drop entries and carry the pivots along, which
+    /// keeps the ranges downward-closed, so with `resume` (after a consolidate that merged nothing) the walk
+    /// starts from the existing pivots and adds only the k+1 - sum of
+    /// (filled - pivot) missing entries: the same set a fresh walk from
+    /// `filled` picks, without its O((k+1) * blocks) cost.  A fresh walk
+    /// is needed after a merge (set_slot resets the merged slot's pivot),
+    /// after an insert (the new block may hold smaller keys), and when
+    /// the ranges already hold more than k+1 entries (k was lowered) or a
+    /// pivot lies past its slot's fill.
+    void calculate_pivots(arr *snap, bool resume) {
         const std::uint32_t n = snap->count();
         std::uint32_t cur[max_blocks];
+        std::uint32_t piv[max_blocks];
         K next_key[max_blocks];
         bool has_next[max_blocks];
+        std::size_t remaining = k_.load(std::memory_order_relaxed) + 1;
+        std::size_t held = 0;
         for (std::uint32_t i = 0; i < n; ++i) {
             cur[i] = snap->slots[i].filled.load(std::memory_order_relaxed);
+            piv[i] = snap->slots[i].pivot.load(std::memory_order_relaxed);
+            if (piv[i] > cur[i])
+                resume = false;
+            else
+                held += cur[i] - piv[i];
+        }
+        if (resume && held <= remaining) {
+            remaining -= held;
+            for (std::uint32_t i = 0; i < n; ++i)
+                cur[i] = piv[i];
+        }
+        for (std::uint32_t i = 0; i < n; ++i) {
             block<K, V> *b = snap->slots[i].blk.load(std::memory_order_relaxed);
             has_next[i] = cur[i] > 0;
             if (has_next[i])
                 next_key[i] = b->load_entry(cur[i] - 1).key;
         }
-        std::size_t remaining = k_.load(std::memory_order_relaxed) + 1;
         while (remaining > 0) {
             std::uint32_t best = max_blocks;
             for (std::uint32_t i = 0; i < n; ++i) {

@@ -4,7 +4,7 @@
 //
 // The churn soak harness (src/harness/churn.hpp) samples this during
 // and between workload phases; the JSON emitted here is validated by
-// scripts/check_memory_schema.py and diffed by scripts/compare_bench.py
+// scripts/check_report.py and diffed by scripts/compare_bench.py
 // (RSS high-water regressions are enforcing).
 //
 // The plateau verdict encodes the soak invariant: after the key-range

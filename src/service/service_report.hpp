@@ -2,7 +2,7 @@
 
 // JSON serialization of the `service` and `slo` objects every
 // service-workload record carries (README "Service mode & SLOs",
-// validated by scripts/check_service_schema.py, diffed by
+// validated by scripts/check_report.py, diffed by
 // scripts/compare_bench.py):
 //
 //   "service": {

@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace klsm {
 namespace {
@@ -177,6 +180,101 @@ TEST(SharedLsm, TwoArraysPerThreadSuffice) {
     }
     EXPECT_EQ(s.extra_array_allocations(), 0u)
         << "paper bound of two BlockArrays per thread violated";
+}
+
+/// Single-threaded mix of block inserts, find_min+take and external
+/// takes of arbitrary published items, against a multiset of the alive
+/// keys.  External takes leave dead entries inside and outside the
+/// candidate ranges, so many find_min calls consolidate by trimming only
+/// and resume the pivot walk from the old pivots.  Each phase runs at
+/// one k (set_relaxation between phases).  Every find_min result must
+/// rank <= bound among the alive keys, where bound is the current k,
+/// except that after k is lowered the published pivots keep the old k
+/// until the next insert recomputes them.
+void run_resume_mix(const std::vector<std::size_t> &phases,
+                    std::uint64_t seed) {
+    pool_t items;
+    shared_t s{phases.front()};
+    xoroshiro128 rng{seed};
+    std::multiset<std::uint32_t> alive;
+    std::vector<item_ref<std::uint32_t, std::uint64_t>> published;
+    constexpr std::uint32_t own_tid = 0, other_tid = 5;
+    constexpr int steps_per_phase = 3000;
+    std::size_t bound = phases.front();
+
+    const auto checked_delete = [&] {
+        for (;;) {
+            auto ref = s.find_min(own_tid);
+            if (ref.empty())
+                return false;
+            const auto it = alive.find(ref.key);
+            if (it == alive.end()) {
+                ADD_FAILURE() << "find_min returned a key not alive: "
+                              << ref.key;
+                return false;
+            }
+            const auto rank = static_cast<std::size_t>(
+                std::distance(alive.begin(), alive.lower_bound(ref.key)));
+            EXPECT_LE(rank, bound)
+                << "key " << ref.key << " with " << alive.size()
+                << " alive, k=" << s.relaxation();
+            if (ref.take()) {
+                alive.erase(it);
+                return true;
+            }
+        }
+    };
+
+    for (const std::size_t k : phases) {
+        s.set_relaxation(k);
+        bound = std::max(bound, k);
+        for (int step = 0; step < steps_per_phase; ++step) {
+            // No inserts early in a phase: a lowered k must then take
+            // effect through find_min's own consolidations.
+            const std::uint64_t op = rng.bounded(10);
+            const std::uint64_t insert_below =
+                step < steps_per_phase / 8 ? 0 : alive.size() < 1500 ? 4 : 1;
+            if (op < insert_below) {
+                std::vector<std::uint32_t> keys(1 + rng.bounded(32));
+                for (auto &key : keys)
+                    key = static_cast<std::uint32_t>(rng.bounded(1u << 16));
+                source_block src{items, keys, other_tid};
+                for (std::uint32_t i = 0; i < src.blk.filled(); ++i)
+                    published.push_back(src.blk.load_entry(i));
+                alive.insert(keys.begin(), keys.end());
+                s.insert(&src.blk, src.blk.filled());
+                bound = k; // the insert's fresh walk used the current k
+            } else if (op < 7) {
+                if (!checked_delete()) {
+                    ASSERT_TRUE(alive.empty());
+                }
+            } else if (!published.empty()) {
+                const std::size_t i = rng.bounded(published.size());
+                const auto ref = published[i];
+                published[i] = published.back();
+                published.pop_back();
+                if (ref.take())
+                    alive.erase(alive.find(ref.key));
+            }
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+    while (checked_delete()) {
+    }
+    EXPECT_TRUE(alive.empty()) << alive.size() << " keys lost";
+    EXPECT_TRUE(s.find_min(own_tid).empty());
+}
+
+TEST(SharedLsm, ResumedPivotsKeepRankBound) {
+    for (const std::size_t k : {0, 1, 16, 256}) {
+        SCOPED_TRACE("k=" + std::to_string(k));
+        run_resume_mix({k}, 100 + k);
+    }
+}
+
+TEST(SharedLsm, ResumedPivotsFollowRelaxationChanges) {
+    run_resume_mix({64, 8, 64}, 7); // down 64->8, then up 8->64
 }
 
 TEST(SharedLsm, ConcurrentInsertDeleteConservation) {
